@@ -30,6 +30,9 @@ def validate(rows, tol: float = ROW_TOL):
     if arr.ndim != 2 or arr.size == 0:
         return f"expected a nonempty 2-D matrix, got shape {arr.shape}"
     for i, row in enumerate(arr):
+        finite = np.isfinite(row)
+        if not finite.all():
+            return f"row {i}: non-finite entry {float(row[~finite][0])}"
         if np.any(row < 0.0) or np.any(row > 1.0):
             j = int(np.argmax((row < 0.0) | (row > 1.0)))
             return f"row {i}: entry {row[j]!r} outside [0, 1]"

@@ -497,10 +497,6 @@ class LeakageReport:
         return self.i_uz_given_wdot + self.log2_qe - self.i_uz_given_w
 
 
-def _side_chunk_kernels(enc, triple):
-    return _chunk_kernels(enc, triple)
-
-
 def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
     """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n)."""
     if n < 1 or n % enc.k != 0:

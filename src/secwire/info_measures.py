@@ -34,6 +34,9 @@ def check_prob_vector(p, size: int | None = None) -> np.ndarray:
         raise ValidationError(f"probability vector must be 1-D and nonempty, got shape {arr.shape}")
     if size is not None and arr.size != size:
         raise ValidationError(f"probability vector has length {arr.size}, expected {size}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValidationError(f"non-finite probability {float(arr[~finite][0])}")
     if np.any(arr < 0.0):
         raise ValidationError(f"negative probability {arr.min()!r}")
     residual = abs(float(arr.sum()) - 1.0)
@@ -72,13 +75,33 @@ def mutual_information(p, ch: TransitionMatrix) -> float:
     return _mi_raw(arr, ch.rows)
 
 
-def _mi_raw(p: np.ndarray, rows: np.ndarray) -> float:
+def _row_entropies(rows: np.ndarray) -> list:
+    """H(Y | X = x) for every row, as _mi_raw would compute it."""
+    return [_entropy_raw(row) for row in rows]
+
+
+def _mi_raw(p: np.ndarray, rows: np.ndarray, row_ent: list | None = None) -> float:
+    # row_ent, when given, must be _row_entropies(rows); solvers pass it so
+    # the input-independent row entropies are computed once per call
+    if row_ent is None:
+        row_ent = _row_entropies(rows)
     q = p @ rows
     h_cond = 0.0
-    for px, row in zip(p, rows):
+    for px, h in zip(p.tolist(), row_ent):
         if px > 0.0:
-            h_cond += float(px) * _entropy_raw(row)
+            h_cond += px * h
     return max(_entropy_raw(q) - h_cond, 0.0)
+
+
+def _secrecy_objective(triple: ChannelTriple):
+    """p -> I(X;Y) - I(X;Z), with both channels' row entropies computed once."""
+    main, casc = triple.main.rows, triple.cascade.rows
+    ent_m, ent_c = _row_entropies(main), _row_entropies(casc)
+
+    def value(p):
+        return _mi_raw(p, main, ent_m) - _mi_raw(p, casc, ent_c)
+
+    return value
 
 
 def secrecy_rate(p, triple: ChannelTriple) -> float:
@@ -91,6 +114,9 @@ def _check_joint(joint, ndim: int) -> np.ndarray:
     arr = np.asarray(joint, dtype=float)
     if arr.ndim != ndim:
         raise ValidationError(f"expected a {ndim}-D joint distribution, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValidationError(f"non-finite joint probability {float(arr[~finite][0])}")
     if arr.min() < -1e-12:
         raise ValidationError(f"negative joint probability {arr.min()!r}")
     arr = np.maximum(arr, 0.0)
@@ -217,11 +243,6 @@ def _simplex_starts(n: int) -> list:
     return starts[:8] if n > 2 else starts
 
 
-def _binary_search_max(fun, tol_x: float = 1e-13):
-    # exact-by-bisection path for a concave objective of p = (t, 1-t)
-    return _golden_max(fun, 0.0, 1.0, rtol=tol_x, max_iter=300)
-
-
 def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2000) -> CapacityResult:
     """Maximize I(X;Y) - I(X;Z) over input distributions.
 
@@ -231,12 +252,12 @@ def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2
     n = triple.main.in_alphabet.size
     neg_ent_m = _neg_row_entropies(triple.main.rows)
     neg_ent_c = _neg_row_entropies(triple.cascade.rows)
-
-    def value(p):
-        return _mi_raw(p, triple.main.rows) - _mi_raw(p, triple.cascade.rows)
+    value = _secrecy_objective(triple)
 
     if n == 2:
-        t, fval = _binary_search_max(lambda t: value(np.array([t, 1.0 - t])))[:2]
+        t, fval = _golden_max(
+            lambda t: value(np.array([t, 1.0 - t])), 0.0, 1.0, rtol=1e-13, max_iter=300
+        )[:2]
         p = np.array([t, 1.0 - t])
         gap = _fw_gap(p, _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
         return CapacityResult(value=fval, argmax=p, iterations=300, certified_gap=max(gap, 0.0))
@@ -300,9 +321,7 @@ def secrecy_capacity_oracle(triple: ChannelTriple, grid_step: float = 0.02, refi
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError(f"grid step {grid_step} outside (0, 0.5]")
     levels = int(round(1.0 / grid_step))
-
-    def value(p):
-        return _mi_raw(p, triple.main.rows) - _mi_raw(p, triple.cascade.rows)
+    value = _secrecy_objective(triple)
 
     best_p, best_v = None, -math.inf
     for bars in itertools.combinations(range(levels + n - 1), n - 1):
@@ -357,12 +376,11 @@ def gamma(triple: ChannelTriple, rate: float, tol: float = 1e-9) -> CapacityResu
     rate = min(rate, cap.value)
     neg_ent_m = _neg_row_entropies(triple.main.rows)
     neg_ent_c = _neg_row_entropies(triple.cascade.rows)
-
-    def value(p):
-        return _mi_raw(p, triple.main.rows) - _mi_raw(p, triple.cascade.rows)
+    value = _secrecy_objective(triple)
+    ent_m = _row_entropies(triple.main.rows)
 
     def main_rate(p):
-        return _mi_raw(p, triple.main.rows)
+        return _mi_raw(p, triple.main.rows, ent_m)
 
     if n == 2:
         t_cap = float(cap.argmax[0])

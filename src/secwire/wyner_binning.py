@@ -2,9 +2,20 @@
 
 A code is a table of 2^secret_bits bins times 2^random_bits codewords per
 bin, drawn i.i.d. from the input distribution. The secret selects the bin,
-local randomness selects the codeword inside it. Leakage I(secret; Z^N) is
-computed exactly by enumerating the eavesdropper's output space; decoding
-error is estimated by Monte Carlo over the main channel.
+local randomness selects the codeword inside it.
+
+Leakage I(secret; Z^N) is computed exactly by enumerating the eavesdropper's
+output space. The output laws are built one bin at a time, so memory holds
+one bin's laws (2^random_bits x |Z|^N) plus the per-bin averages
+(2^secret_bits x |Z|^N), never the whole codebook's; the budget is still
+checked against the whole-codebook count before anything is allocated.
+
+Decoding error is estimated by Monte Carlo over the main channel. Each trial
+draws from its own substream, and trials are scored in blocks: one block's
+(input, output) pair counts for every codeword come from 0/1 matrix products
+and fill at most MC_BLOCK_ENTRIES float64 entries (a block is never smaller
+than one trial), and each trial is then scored exactly as ml_decode scores
+it.
 """
 
 from __future__ import annotations
@@ -18,13 +29,15 @@ from .channels import ChannelTriple, TransitionMatrix, sample
 from .errors import BudgetError, ValidationError
 from .info_measures import check_prob_vector, _entropy_raw, mutual_information, secrecy_capacity
 from .bounds import BoundParams, theorem2_bound
+from .fsm_codec import ENUMERATION_BUDGET
 from .parsing import lz_complexity, prefix_phrase_counts
 from .rand import as_rng, inverse_cdf_sample, substream
 from .sequences import Alphabet, SymbolSequence
 
-ENUMERATION_BUDGET = 2 ** 24
 # finite stand-in for log 0 so impossible codewords compare exactly
 LOG_FLOOR = -1e18
+# pair-count entries per Monte Carlo trial block (2^19 float64 = 4 MiB)
+MC_BLOCK_ENTRIES = 2 ** 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,37 +130,64 @@ def ml_decode(code: WynerCode, y: SymbolSequence, ch: TransitionMatrix) -> tuple
     pair = flat_cw * out_size + y.array()[None, :]
     counts = np.zeros((flat_cw.shape[0], code.in_size * out_size), dtype=np.int64)
     np.add.at(counts, (np.repeat(np.arange(flat_cw.shape[0]), code.block_len), pair.ravel()), 1)
-    with np.errstate(divide="ignore"):
-        logch = np.log2(ch.rows).ravel()
-    logch = np.where(np.isfinite(logch), logch, LOG_FLOOR)
-    scores = counts @ logch
+    scores = counts @ _log_channel(ch)
     best = int(np.argmax(scores))
     return divmod(best, code.words_per_bin)
 
 
-def _codeword_output_laws(codebook_flat: np.ndarray, rows: np.ndarray, block_len: int) -> np.ndarray:
-    z_size = rows.shape[1]
-    total = codebook_flat.shape[0] * (z_size ** block_len)
-    if total > ENUMERATION_BUDGET:
-        raise BudgetError(f"output-law enumeration needs {total} entries, budget {ENUMERATION_BUDGET}")
-    laws = np.ones((codebook_flat.shape[0], 1))
-    for i in range(block_len):
-        laws = (laws[:, :, None] * rows[codebook_flat[:, i]][:, None, :]).reshape(
-            codebook_flat.shape[0], -1
-        )
-    return laws
+def _log_channel(ch: TransitionMatrix) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        logch = np.log2(ch.rows).ravel()
+    return np.where(np.isfinite(logch), logch, LOG_FLOOR)
+
+
+def _pair_counts(x_onehot: list, ys: np.ndarray, out_size: int) -> np.ndarray:
+    """counts[t, w, a * out_size + b] = #{i : codeword w has a and ys[t] has b at i}.
+
+    x_onehot[a] is the (N, codewords) 0/1 matrix of codeword positions holding
+    a. One 0/1 matrix product per (a, b) gives exact integer counts, laid out
+    so that counts[t] is the C-contiguous (codewords, pairs) matrix ml_decode
+    builds for received word ys[t].
+    """
+    counts = np.empty((ys.shape[0], x_onehot[0].shape[1], len(x_onehot) * out_size))
+    for b in range(out_size):
+        y_b = (ys == b).astype(float)
+        for a, x_a in enumerate(x_onehot):
+            counts[:, :, a * out_size + b] = y_b @ x_a
+    return counts
 
 
 def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
-    """Exact I(secret; Z^N) in bits, uniform secret and inner randomness."""
+    """Exact I(secret; Z^N) in bits, uniform secret and inner randomness.
+
+    Raises BudgetError, before allocating anything, when the whole codebook's
+    output laws would exceed ENUMERATION_BUDGET entries. Within the budget,
+    the laws P(z^N | codeword) are built one bin at a time: each step
+    multiplies every partial law by one channel entry, the same products as
+    a single broadcast over the whole codebook, so the result equals that
+    direct formula bit for bit. Peak memory is one bin's laws plus the
+    (bins, |Z|^N) per-bin averages.
+    """
     if eaves_channel.in_alphabet.size != code.in_size:
         raise ValidationError(
             f"channel input {eaves_channel.in_alphabet.size} does not match code alphabet "
             f"{code.in_size}"
         )
-    flat = code.codebook.reshape(-1, code.block_len)
-    laws = _codeword_output_laws(flat, eaves_channel.rows, code.block_len)
-    per_bin = laws.reshape(code.bins, code.words_per_bin, -1).mean(axis=1)
+    rows = eaves_channel.rows
+    z_size = rows.shape[1]
+    total = code.bins * code.words_per_bin * z_size ** code.block_len
+    if total > ENUMERATION_BUDGET:
+        raise BudgetError(f"output-law enumeration needs {total} entries, budget {ENUMERATION_BUDGET}")
+    per_bin = np.empty((code.bins, z_size ** code.block_len))
+    for s, words in enumerate(code.codebook):
+        laws = np.ones((code.words_per_bin, 1))
+        for i in range(code.block_len):
+            step = rows[words[:, i]]
+            out = np.empty(laws.shape + (z_size,))
+            for b in range(z_size):
+                np.multiply(laws, step[:, b, None], out=out[:, :, b])
+            laws = out.reshape(code.words_per_bin, -1)
+        per_bin[s] = laws.mean(axis=0)
     marginal = per_bin.mean(axis=0)
     h_cond = sum(_entropy_raw(row) for row in per_bin) / code.bins
     return max(_entropy_raw(marginal) - h_cond, 0.0)
@@ -171,22 +211,36 @@ class DecodeErrorEstimate:
 def monte_carlo_error(code: WynerCode, ch: TransitionMatrix, trials: int, seed: int) -> DecodeErrorEstimate:
     """Estimate ML decoding error over the channel, uniform (secret, inner).
 
-    Trials are substream-seeded by (seed, trial index).
+    Trial t draws its secret, inner index and channel output from
+    substream(seed, t), in that order. Received words are decoded in blocks
+    of trials whose pair counts fill at most MC_BLOCK_ENTRIES entries, or
+    one trial's counts if those alone exceed it; each trial's decision is
+    ml_decode's, bit for bit, ties included.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    flat_cw = code.codebook.reshape(-1, code.block_len)
+    x_onehot = [(flat_cw == a).astype(float).T for a in range(code.in_size)]
+    out_size = ch.out_alphabet.size
+    logch = _log_channel(ch)
+    block = max(1, MC_BLOCK_ENTRIES // (flat_cw.shape[0] * code.in_size * out_size))
     secret_errs = word_errs = 0
-    for t in range(trials):
-        rng = substream(seed, t)
-        secret = int(rng.integers(code.bins))
-        inner = int(rng.integers(code.words_per_bin))
-        x = wyner_encode(code, secret, inner)
-        y = sample(ch, x, rng)
-        s_hat, i_hat = ml_decode(code, y, ch)
-        if s_hat != secret:
-            secret_errs += 1
-        if (s_hat, i_hat) != (secret, inner):
-            word_errs += 1
+    for start in range(0, trials, block):
+        sent, received = [], []
+        for t in range(start, min(start + block, trials)):
+            rng = substream(seed, t)
+            secret = int(rng.integers(code.bins))
+            inner = int(rng.integers(code.words_per_bin))
+            y = sample(ch, wyner_encode(code, secret, inner), rng)
+            sent.append((secret, inner))
+            received.append(y.data)
+        counts = _pair_counts(x_onehot, np.array(received), out_size)
+        for (secret, inner), trial_counts in zip(sent, counts):
+            s_hat, i_hat = divmod(int(np.argmax(trial_counts @ logch)), code.words_per_bin)
+            if s_hat != secret:
+                secret_errs += 1
+            if (s_hat, i_hat) != (secret, inner):
+                word_errs += 1
     return DecodeErrorEstimate(trials=trials, secret_errors=secret_errs, word_errors=word_errs)
 
 

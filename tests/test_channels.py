@@ -44,6 +44,14 @@ def test_construction_rejects_bad_rows():
         TransitionMatrix(Alphabet(2), Alphabet(3), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_validate_rejects_non_finite_entries(bad):
+    msg = validate([[0.5, 0.5], [bad, 0.5]])
+    assert msg is not None and msg.startswith("row 1: non-finite")
+    with pytest.raises(ValidationError):
+        channel_from_rows([[bad, 0.5], [0.5, 0.5]])
+
+
 def test_rows_are_read_only():
     ch = bsc(0.2)
     with pytest.raises(ValueError):

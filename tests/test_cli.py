@@ -101,6 +101,14 @@ def test_capacity_gamma_requires_wiretap(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_capacity_nan_channel_exits_2(tmp_path, capsys):
+    main = tmp_path / "m.ch"
+    main.write_text("channel 2 2\nnan 0.5\n0.5 0.5\n", encoding="utf-8")
+    wire = _write_bsc(tmp_path / "w.ch", 0.1)
+    assert cli.main(["capacity", "--main", str(main), "--wiretap", wire]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.seq")
     assert cli.main(["parse", "--seq", missing]) == 2

@@ -47,6 +47,16 @@ def test_entropy_values():
         entropy([0.5, 0.6])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_probability_gates_reject_non_finite(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        entropy([bad, 1.0])
+    with pytest.raises(ValidationError, match="non-finite"):
+        mutual_information_from_joint([[bad, 0.5], [0.25, 0.25]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        conditional_mutual_information(np.full((2, 2, 2), 0.125) + np.array([bad] + [0.0] * 7).reshape(2, 2, 2))
+
+
 def test_mutual_information_extremes():
     assert abs(mutual_information([0.3, 0.7], bsc(0.5))) < 1e-12
     assert math.isclose(mutual_information([0.3, 0.7], identity_channel(2)), _h2(0.3))

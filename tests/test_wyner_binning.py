@@ -65,6 +65,8 @@ def test_build_code_respects_input_dist():
 
 
 def test_build_code_validation():
+    with pytest.raises(ValidationError, match="non-finite"):
+        build_code(6, 1, 1, [float("nan"), 1.0], seed=1)
     with pytest.raises(ValidationError):
         build_code(4, 3, 2, [0.5, 0.5], seed=1)  # 5 bits into 4 binary symbols
     with pytest.raises(ValidationError):
