@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .rand import as_rng, inverse_cdf_sample
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SymbolSequence, read_text
 
 ROW_TOL = 1e-12
 
@@ -128,12 +128,11 @@ def sample(ch: TransitionMatrix, x: SymbolSequence, seed) -> SymbolSequence:
     draws = rng.random(len(x))
     cum = np.cumsum(ch.rows, axis=1)
     out = inverse_cdf_sample(cum[x.array()], draws)
-    return SymbolSequence(Alphabet(ch.out_alphabet.size), tuple(int(v) for v in out))
+    return SymbolSequence(Alphabet(ch.out_alphabet.size), out)
 
 
 def load_channel(path: str | os.PathLike) -> TransitionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise ValidationError(f"{path}: empty channel file")
     head = lines[0].split()

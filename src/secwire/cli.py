@@ -98,7 +98,7 @@ def _cmd_parse(args) -> int:
         "n": len(u),
         "alphabet": u.alphabet.size,
         "c": parse.c,
-        "rho": pz.lz_complexity(u),
+        "rho": pz._lz_rate(parse, len(u)),
         "last_incomplete": parse.last_incomplete,
     }
     if args.phrases:
@@ -109,7 +109,7 @@ def _cmd_parse(args) -> int:
         results["c_joint"] = jp.c_joint
         results["c_w"] = jp.c_w
         results["multiplicities"] = [m for _, m in jp.w_phrases]
-        results["rho_conditional"] = pz.conditional_lz_complexity(u, w)
+        results["rho_conditional"] = pz._conditional_lz_rate(jp, len(u))
     doc["results"] = results
     return _emit_result(args, doc)
 

@@ -46,7 +46,7 @@ from .info_measures import (
     mutual_information_from_joint,
 )
 from .rand import as_rng, substream
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SymbolSequence, read_text
 
 ENUMERATION_BUDGET = 2 ** 24  # max entries in any exactly enumerated matrix
 PROB_TOL = 1e-12
@@ -646,10 +646,8 @@ def _first_match(rules, state, block, w_block):
 
 def load_fsm(path: str | os.PathLike):
     """Parse an FSM spec file into an encoder or decoder spec."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
     lines = []
-    for ln in raw.splitlines():
+    for ln in read_text(path).splitlines():
         ln = ln.split("#", 1)[0].strip()
         if ln:
             lines.append(ln)

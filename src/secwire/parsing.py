@@ -1,8 +1,8 @@
 """Incremental (LZ78) parsing, LZ complexity, and the conditional variant.
 
 One trie engine drives both the single-sequence parse and the pair parse; the
-pair parse walks the product alphabet, keying trie edges by (u, w) symbol
-pairs.
+pair parse walks the product alphabet, keying trie edges by the index
+u * |W| + w of each (u, w) symbol pair (an int hashes faster than a tuple).
 
 Counting conventions differ deliberately between the two parses. The plain
 parse counts a trailing incomplete phrase toward c. The joint parse counts
@@ -87,10 +87,13 @@ def incremental_parse(u: SymbolSequence) -> PhraseParse:
     return PhraseParse(phrases=tuple(spans), c=len(spans), last_incomplete=tail is not None)
 
 
+def _lz_rate(parse: PhraseParse, n: int) -> float:
+    return parse.c * math.log2(parse.c) / n
+
+
 def lz_complexity(u: SymbolSequence) -> float:
     """LZ complexity c log2(c) / n in bits per symbol."""
-    parse = incremental_parse(u)
-    return parse.c * math.log2(parse.c) / len(u)
+    return _lz_rate(incremental_parse(u), len(u))
 
 
 def prefix_phrase_counts(u: SymbolSequence) -> tuple:
@@ -122,7 +125,8 @@ def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
         raise ValidationError("cannot parse an empty sequence")
     if len(u) != len(w):
         raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
-    spans, tail = _parse_stream(zip(u.data, w.data))
+    omega = w.alphabet.size
+    spans, tail = _parse_stream([a * omega + b for a, b in zip(u.data, w.data)])
     order = []
     counts: dict = {}
     for a, b in spans:
@@ -140,13 +144,16 @@ def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
     )
 
 
-def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
-    """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol."""
-    jp = joint_parse(u, w)
+def _conditional_lz_rate(jp: JointPhraseParse, n: int) -> float:
     total = 0.0
     for _, c_l in jp.w_phrases:
         total += c_l * math.log2(c_l)
-    return total / len(u)
+    return total / n
+
+
+def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
+    """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol."""
+    return _conditional_lz_rate(joint_parse(u, w), len(u))
 
 
 def empirical_block_entropy(u: SymbolSequence, block: int) -> float:

@@ -47,38 +47,69 @@ def _coerce(obj):
 
 
 def _render(obj, indent: int | None, level: int) -> str:
+    """One pass over the document: coerce each node as _coerce does, then print it.
+
+    Exact-type checks come first: they are the common case and never take a
+    bool for an int. Containers, numpy values and subclasses of the plain
+    types fall through to the isinstance checks.
+    """
+    t = type(obj)
+    if t is int:
+        return str(obj)
+    if t is float:
+        return fmt_float(obj)
+    if t is str:
+        return json.dumps(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
+    if t is bool:
         return "true" if obj else "false"
+    if isinstance(obj, (list, tuple)):
+        return _render_list(obj, indent, level)
+    if isinstance(obj, dict):
+        return _render_dict(obj, indent, level)
+    if isinstance(obj, np.ndarray):
+        return _render_list(obj.tolist(), indent, level)
+    if isinstance(obj, np.floating):
+        return fmt_float(float(obj))
+    if isinstance(obj, np.integer):
+        return str(int(obj))
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [_render(v, indent, level + 1) for v in obj]
-        if indent is None:
-            return "[" + ", ".join(items) + "]"
-        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f"{json.dumps(k)}: {_render(v, indent, level + 1)}" for k, v in obj.items()]
-        if indent is None:
-            return "{" + ", ".join(items) + "}"
-        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-        return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
     raise ValidationError(f"cannot render object of type {type(obj).__name__}")
+
+
+def _render_list(obj, indent: int | None, level: int) -> str:
+    items = [_render(v, indent, level + 1) for v in obj]
+    if not items:
+        return "[]"
+    if indent is None:
+        return "[" + ", ".join(items) + "]"
+    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+    return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+
+
+def _render_dict(obj, indent: int | None, level: int) -> str:
+    items = []
+    for k, v in obj.items():
+        if not isinstance(k, str):
+            raise ValidationError(f"report keys must be strings, got {k!r}")
+        items.append(f"{json.dumps(k)}: {_render(v, indent, level + 1)}")
+    if not items:
+        return "{}"
+    if indent is None:
+        return "{" + ", ".join(items) + "}"
+    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+    return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
 
 
 def render_json(obj, indent: int | None = 2) -> str:
     """Render to JSON text; indent None gives a single line."""
-    return _render(_coerce(obj), indent, 0)
+    return _render(obj, indent, 0)
 
 
 def flatten(obj, prefix: str = "") -> list:

@@ -1,7 +1,13 @@
 """Finite-alphabet symbol sequences and their on-disk format.
 
-A sequence file is plain text: a header line ``alphabet N`` followed by
-whitespace-separated integer symbols in ``[0, N)``, wrapped at any width.
+A sequence file is UTF-8 text: the tokens ``alphabet N`` followed by integer
+symbols in ``[0, N)``. Tokens are separated by any whitespace (``str.split``
+rules, so tabs, CRLF line ends and Unicode separators such as ``\x1c`` count),
+at any line width; a symbol may share the header line. A symbol token is
+anything ``int()`` accepts: a sign, leading zeros, underscores between digits
+and non-ASCII decimal digits are allowed, ``1.0`` is not. Every malformed
+file (not UTF-8, bad header, non-integer or out-of-range symbol) raises
+ValidationError naming the path, which the CLI reports with exit code 2.
 """
 
 from __future__ import annotations
@@ -12,6 +18,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
+
+# Every digit mapped to "0". A body whose mapped bytes hold only "0" and ASCII
+# whitespace, with no run of 19 zeros, holds only tokens that int() and
+# np.fromstring read alike and that fit in int64. This is the test of the flat
+# regexes [0-9\s]* (re.ASCII) and [0-9]{19}, at a fifth of their cost: the
+# search for a 19-digit run alone takes longer than np.fromstring.
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_ZERO_AND_SPACE = b"0 \t\n\r\x0b\x0c"
+
+
+def _bulk_readable(body: str) -> bool:
+    if not body.isascii():
+        return False
+    zeros = body.encode("ascii").translate(_DIGITS_TO_ZERO)
+    return not zeros.translate(None, _ZERO_AND_SPACE) and b"0" * 19 not in zeros
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """Whole content of a UTF-8 text file; ValidationError naming the path if it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: file is not UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -30,16 +60,26 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class SymbolSequence:
-    """Immutable sequence of symbols over a fixed alphabet."""
+    """Immutable sequence of symbols over a fixed alphabet.
+
+    data may be any iterable of integers; a 1-D integer ndarray is checked
+    with min/max in bulk. It is stored as a tuple of Python ints.
+    """
 
     alphabet: Alphabet
     data: tuple = field(default=())
 
     def __post_init__(self):
-        data = tuple(int(s) for s in self.data)
+        raw = self.data
+        if isinstance(raw, np.ndarray) and raw.ndim == 1 and raw.dtype.kind in "iu":
+            lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
+            data = tuple(raw.tolist())
+        else:
+            data = tuple(map(int, raw))
+            lo, hi = (min(data), max(data)) if data else (0, 0)
         object.__setattr__(self, "data", data)
-        bad = next((s for s in data if s not in self.alphabet), None)
-        if bad is not None:
+        if lo < 0 or hi >= self.alphabet.size:
+            bad = next(s for s in data if s not in self.alphabet)
             raise ValidationError(
                 f"symbol {bad} outside alphabet of size {self.alphabet.size}"
             )
@@ -58,6 +98,8 @@ class SymbolSequence:
     def prefix(self, n: int) -> "SymbolSequence":
         if not 0 <= n <= len(self.data):
             raise ValidationError(f"prefix length {n} outside [0, {len(self.data)}]")
+        if n == len(self.data):
+            return self
         return SymbolSequence(self.alphabet, self.data[:n])
 
     def array(self) -> np.ndarray:
@@ -65,32 +107,36 @@ class SymbolSequence:
 
 
 def sequence_from_array(values, alphabet_size: int) -> SymbolSequence:
-    return SymbolSequence(Alphabet(int(alphabet_size)), tuple(int(v) for v in values))
+    return SymbolSequence(Alphabet(int(alphabet_size)), values)
 
 
 def load_sequence(path: str | os.PathLike) -> SymbolSequence:
-    """Parse a sequence file.
+    """Parse a sequence file (format in the module docstring).
 
-    Raises ValidationError on a malformed header, non-integer symbols, or
-    out-of-range symbols; the message names the offending token.
+    Raises ValidationError on a file that is not UTF-8, a malformed header,
+    non-integer symbols, or out-of-range symbols; the message names the path
+    and the offending token.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    tokens = text.split()
-    if len(tokens) < 2 or tokens[0] != "alphabet":
+    parts = read_text(path).split(maxsplit=2)
+    if len(parts) < 2 or parts[0] != "alphabet":
         raise ValidationError(f"{path}: expected header 'alphabet N'")
     try:
-        size = int(tokens[1])
+        size = int(parts[1])
     except ValueError:
-        raise ValidationError(f"{path}: alphabet size {tokens[1]!r} is not an integer") from None
-    symbols = []
-    for tok in tokens[2:]:
-        try:
-            symbols.append(int(tok))
-        except ValueError:
-            raise ValidationError(f"{path}: symbol {tok!r} is not an integer") from None
+        raise ValidationError(f"{path}: alphabet size {parts[1]!r} is not an integer") from None
+    body = parts[2] if len(parts) == 3 else ""
+    if _bulk_readable(body):
+        # fromstring reads a blank string as [0]; split() left body empty or starting with a digit
+        symbols = np.fromstring(body, dtype=np.int64, sep=" ")
+    else:
+        symbols = []
+        for tok in body.split():
+            try:
+                symbols.append(int(tok))
+            except ValueError:
+                raise ValidationError(f"{path}: symbol {tok!r} is not an integer") from None
     try:
-        return SymbolSequence(Alphabet(size), tuple(symbols))
+        return SymbolSequence(Alphabet(size), symbols)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

@@ -103,7 +103,7 @@ def wyner_encode(code: WynerCode, secret: int, inner: int) -> SymbolSequence:
         raise ValidationError(f"secret index {secret} outside [0, {code.bins})")
     if not 0 <= inner < code.words_per_bin:
         raise ValidationError(f"inner index {inner} outside [0, {code.words_per_bin})")
-    return SymbolSequence(Alphabet(code.in_size), tuple(int(v) for v in code.codebook[secret, inner]))
+    return SymbolSequence(Alphabet(code.in_size), code.codebook[secret, inner])
 
 
 def ml_decode(code: WynerCode, y: SymbolSequence, ch: TransitionMatrix) -> tuple:

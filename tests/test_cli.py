@@ -109,6 +109,35 @@ def test_capacity_nan_channel_exits_2(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_non_utf8_sequence_exits_2(tmp_path, capsys):
+    seq = tmp_path / "u.seq"
+    seq.write_bytes(b"alphabet 2\n0 1 \xff\xfe 1\n")
+    assert cli.main(["parse", "--seq", str(seq)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and str(seq) in err
+
+
+def test_non_utf8_channel_exits_2(tmp_path, capsys):
+    main = tmp_path / "m.ch"
+    main.write_bytes(b"channel 2 2\n0.9 0.1\n\xff 0.9\n")
+    assert cli.main(["capacity", "--main", str(main)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and str(main) in err
+
+
+def test_non_utf8_fsm_exits_2(tmp_path, capsys):
+    enc, dec = _identity_fsm_files(tmp_path)
+    with open(enc, "ab") as fh:
+        fh.write(b"# \xff\n")
+    main, wire = _write_bsc(tmp_path / "m.ch", 0.05), _write_bsc(tmp_path / "w.ch", 0.2)
+    seq = _write_seq(tmp_path / "u.seq", (0, 1, 1, 0))
+    argv = ["simulate", "--enc", enc, "--dec", dec, "--main", main, "--wiretap", wire,
+            "--seq", seq, "--trials", "2", "--seed", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and enc in err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.seq")
     assert cli.main(["parse", "--seq", missing]) == 2

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secwire.errors import ValidationError
 from secwire.parsing import (
+    _parse_stream,
     conditional_lz_complexity,
     empirical_block_entropy,
     entropy_vs_lz_margin,
@@ -156,3 +159,23 @@ def test_block_entropy_validation():
         empirical_block_entropy(_seq([0, 1, 0]), 2)
     with pytest.raises(ValidationError):
         empirical_block_entropy(_seq([0, 1]), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.integers(1, 5),
+    omega=st.integers(1, 5),
+    pairs=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=300),
+)
+def test_joint_parse_properties(alpha, omega, pairs):
+    u = _seq([a % alpha for a, _ in pairs], alpha)
+    w = _seq([b % omega for _, b in pairs], omega)
+    jp = joint_parse(u, w)
+    # phrase-count identity sum_l c_l == c_joint, and rho(u|u) == 0
+    assert sum(c_l for _, c_l in jp.w_phrases) == jp.c_joint == len(jp.phrases)
+    assert jp.c_w == len(jp.w_phrases)
+    assert conditional_lz_complexity(u, u) == 0.0
+    # the int-keyed trie walk gives the spans of the (u, w)-pair-keyed one
+    spans, tail = _parse_stream(zip(u.data, w.data))
+    assert jp.phrases == tuple(spans)
+    assert jp.dropped_incomplete == (tail is not None)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secwire import ValidationError
 from secwire.report import fmt_float, flatten, render_csv, render_csv_rows, render_json
@@ -121,3 +123,106 @@ def test_renderings_are_deterministic():
     for doc in _sample_reports():
         assert render_json(doc) == render_json(doc)
         assert render_csv(doc) == render_csv(doc)
+
+
+# The two-pass writer that render_json replaced (coerce the whole document,
+# then print it), kept verbatim as the reference for the single-pass one.
+def _old_coerce(obj):
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_old_coerce(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [_old_coerce(v) for v in obj]
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise ValidationError(f"report keys must be strings, got {k!r}")
+            out[k] = _old_coerce(v)
+        return out
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise ValidationError(f"cannot render object of type {type(obj).__name__}")
+
+
+def _old_render(obj, indent, level):
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_old_render(v, indent, level + 1) for v in obj]
+        if indent is None:
+            return "[" + ", ".join(items) + "]"
+        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+        return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_old_render(v, indent, level + 1)}" for k, v in obj.items()]
+        if indent is None:
+            return "{" + ", ".join(items) + "}"
+        pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+        return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
+    raise ValidationError(f"cannot render object of type {type(obj).__name__}")
+
+
+def _old_render_json(obj, indent=2):
+    return _old_render(_old_coerce(obj), indent, 0)
+
+
+_numpy_scalars = st.one_of(
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
+)
+_numpy_arrays = st.one_of(
+    st.lists(st.integers(-1000, 1000), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=6).map(np.array),
+    st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=5),
+    _numpy_scalars,
+    _numpy_arrays,
+)
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents, indent=st.sampled_from([None, 2]))
+def test_render_json_matches_two_pass_writer(doc, indent):
+    assert render_json(doc, indent=indent) == _old_render_json(doc, indent=indent)
+
+
+def test_render_json_errors_match_two_pass_writer():
+    for doc in ({"a": [1, {2: "x"}]}, {"a": {1, 2}}, [np.bool_(True)], [1j], {"a": [1, (x for x in ())]}):
+        with pytest.raises(ValidationError) as new:
+            render_json(doc)
+        with pytest.raises(ValidationError) as old:
+            _old_render_json(doc)
+        assert str(new.value) == str(old.value)

@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secwire.errors import ValidationError
 from secwire.sequences import (
     Alphabet,
     SymbolSequence,
+    _bulk_readable,
     dump_sequence,
     load_sequence,
     sequence_from_array,
@@ -69,3 +74,133 @@ def test_load_rejects_bad_files(tmp_path):
         with pytest.raises(ValidationError) as err:
             load_sequence(path)
         assert str(path) in str(err.value)
+
+
+# The loader contract: each file gives these values, or this ValidationError
+# message after "<path>: ", whichever path (bulk or token loop) reads its body.
+LOADER_CASES = {
+    "22-digit token": (
+        "alphabet 10000000000000000000001\n1234567890123456789012 0\n",
+        (1234567890123456789012, 0),
+    ),
+    "22-digit token out of range": (
+        "alphabet 2\n0 1234567890123456789012\n",
+        "symbol 1234567890123456789012 outside alphabet of size 2",
+    ),
+    "leading zeros": ("alphabet 10\n007 0 09\n", (7, 0, 9)),
+    "plus sign": ("alphabet 2\n0 +1\n", (0, 1)),
+    "minus sign": ("alphabet 2\n0 -1\n", "symbol -1 outside alphabet of size 2"),
+    "decimal point": ("alphabet 2\n0 1.0\n", "symbol '1.0' is not an integer"),
+    "non-ASCII digit": ("alphabet 4\n0 ٣ 1\n", (0, 3, 1)),
+    "tab, CRLF and \\x1c separators": ("alphabet 3\r\n0\t1\r\n2\x1c1\x0b0\x0c2\n", (0, 1, 2, 1, 0, 2)),
+    "header only": ("alphabet 2\n", ()),
+    "header only, trailing blank lines": ("alphabet 2\n\n  \n", ()),
+    "symbol on the header line": ("alphabet 2 1 0\n1\n", (1, 0, 1)),
+    "first bad symbol is named": ("alphabet 3\n0 1 2 5 7 1\n", "symbol 5 outside alphabet of size 3"),
+    "bad size": ("alphabet 0\n0 1\n", "alphabet size must be a positive integer, got 0"),
+    "non-integer before range": ("alphabet 0\n0 x\n", "symbol 'x' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_CASES))
+def test_loader_contract(tmp_path, name):
+    text, expected = LOADER_CASES[name]
+    path = tmp_path / "case.seq"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, tuple):
+        u = load_sequence(path)
+        assert u.data == expected
+        assert all(type(s) is int for s in u.data)
+    else:
+        with pytest.raises(ValidationError) as err:
+            load_sequence(path)
+        assert str(err.value) == f"{path}: {expected}"
+
+
+def _token_loop(text):
+    """The plain reading of a sequence file: every token after the header through int()."""
+    tokens = text.split()
+    return int(tokens[1]), tuple(int(t) for t in tokens[2:])
+
+
+def test_load_long_file_matches_token_loop(tmp_path):
+    rng = np.random.default_rng(3)
+    symbols = rng.integers(0, 7, 100_000)
+    seps = rng.choice([" ", "  ", "\n", "\t", "\r\n"], size=symbols.size)
+    text = "alphabet 7\n" + "".join(f"{s}{sep}" for s, sep in zip(symbols.tolist(), seps.tolist()))
+    path = tmp_path / "long.seq"
+    path.write_bytes(text.encode("utf-8"))
+    u = load_sequence(path)
+    assert (u.alphabet.size, u.data) == _token_loop(text)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "bad.seq"
+    path.write_bytes(b"alphabet 2\n0 1 \xff\xfe 1\n")
+    with pytest.raises(ValidationError) as err:
+        load_sequence(path)
+    assert str(path) in str(err.value)
+
+
+def test_symbol_sequence_from_int_array():
+    u = SymbolSequence(Alphabet(3), np.array([0, 2, 1], dtype=np.uint8))
+    assert u.data == (0, 2, 1) and all(type(s) is int for s in u.data)
+    assert SymbolSequence(Alphabet(2), np.array([], dtype=np.int64)).data == ()
+    with pytest.raises(ValidationError, match="symbol 5 outside alphabet of size 3"):
+        SymbolSequence(Alphabet(3), np.array([0, 5, -1, 7]))
+    with pytest.raises(ValidationError, match="symbol -1 outside alphabet of size 3"):
+        SymbolSequence(Alphabet(3), (0, 1, -1, 5))
+    assert SymbolSequence(Alphabet(2), np.array([1.7, 0.2])).data == (1, 0)
+
+
+def test_full_prefix_is_the_sequence():
+    u = SymbolSequence(Alphabet(2), (0, 1, 1))
+    assert u.prefix(3) is u
+    assert u.prefix(2).data == (0, 1)
+    with pytest.raises(ValidationError):
+        u.prefix(4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 10),
+    symbols=st.lists(st.integers(0, 9), max_size=500),
+    width=st.integers(1, 60),
+)
+def test_dump_load_round_trip_property(tmp_path_factory, size, symbols, width):
+    u = SymbolSequence(Alphabet(size), [s % size for s in symbols])
+    path = tmp_path_factory.getbasetemp() / "round-trip.seq"
+    dump_sequence(u, path, width=width)
+    v = load_sequence(path)
+    assert v.alphabet.size == size and v.data == u.data
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tokens=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 10 ** 21)).map(lambda t: "0" * t[0] + str(t[1])),
+        max_size=40,
+    ),
+    seps=st.lists(st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "   "]), min_size=41, max_size=41),
+)
+def test_digit_bodies_match_token_loop(tmp_path_factory, tokens, seps):
+    text = "alphabet 1000000000000000000000000" + "".join(
+        sep + tok for sep, tok in zip(seps, tokens + [""])
+    )
+    path = tmp_path_factory.getbasetemp() / "digits.seq"
+    path.write_bytes(text.encode("utf-8"))
+    u = load_sequence(path)
+    assert (u.alphabet.size, u.data) == _token_loop(text)
+
+
+_body_pieces = st.one_of(
+    st.text(alphabet="0123456789 \t\n\r\x0b\x0c\x1c\xa0٣+-._a", max_size=6),
+    st.integers(15, 22).map(lambda k: "7" * k),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_body_pieces, max_size=8).map("".join))
+def test_bulk_check_is_the_two_regex_test(body):
+    regex_test = bool(re.fullmatch(r"[0-9\s]*", body, re.ASCII)) and not re.search(r"[0-9]{19}", body)
+    assert _bulk_readable(body) == regex_test
