@@ -12,7 +12,8 @@ most rho + delta + r/n.
 Bin assignment is lazy: a keyed blake2b hash stands in for the shared random
 binning table, so nothing of size alpha^n is ever materialized by the
 encoder. The decoder's list step does enumerate alpha^n candidates and is
-budget-guarded.
+budget-guarded; it skips the scan in rounds whose threshold i r - n delta is
+negative, since n rho_min >= 0 can never meet it.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class BinAssignment:
     alphabet_size: int
     seed: int
     bits_total: int = field(init=False)
+    _key: bytes = field(init=False, repr=False, compare=False)
+    _digest_size: int = field(init=False, repr=False, compare=False)
+    _shift: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -57,16 +61,18 @@ class BinAssignment:
         if self.alphabet_size > 256:
             raise ValidationError("alphabet sizes above 256 are not supported by the hash layout")
         object.__setattr__(self, "bits_total", bits)
+        digest_size = (bits + 7) // 8
+        object.__setattr__(self, "_key", int(self.seed).to_bytes(8, "big", signed=True))
+        object.__setattr__(self, "_digest_size", digest_size)
+        object.__setattr__(self, "_shift", 8 * digest_size - bits)
 
     def bin_bits(self, symbols) -> int:
         """L-bit bin index of the given length-n symbol tuple."""
         data = bytes(symbols)
         if len(data) != self.n:
             raise ValidationError(f"sequence length {len(data)}, expected {self.n}")
-        key = int(self.seed).to_bytes(8, "big", signed=True)
-        digest_len = (self.bits_total + 7) // 8
-        digest = hashlib.blake2b(data, key=key, digest_size=digest_len).digest()
-        return int.from_bytes(digest, "big") >> (8 * digest_len - self.bits_total)
+        digest = hashlib.blake2b(data, key=self._key, digest_size=self._digest_size).digest()
+        return int.from_bytes(digest, "big") >> self._shift
 
 
 def assign_bins(n: int, alphabet: Alphabet, seed: int) -> BinAssignment:
@@ -85,7 +91,9 @@ def list_decode_step(
 
     received_prefix holds the first min(i*r, L) bin bits as an integer.
     Returns (ack, candidate); the candidate is released only on ACK and ties
-    in complexity go to the lexicographically smallest sequence.
+    in complexity go to the lexicographically smallest sequence. A round
+    whose threshold i*r - n*delta is negative returns (False, None) after
+    validation, without hashing: no complexity is negative.
     """
     if i < 1 or r < 1:
         raise ValidationError(f"chunk index and size must be >= 1, got i={i}, r={r}")
@@ -99,6 +107,10 @@ def list_decode_step(
     plen = min(i * r, assign.bits_total)
     if not 0 <= received_prefix < (1 << max(plen, 1)):
         raise ValidationError(f"received prefix {received_prefix} does not fit in {plen} bits")
+    threshold = i * r - n * delta
+    if threshold < 0:
+        # n * rho >= 0 for every candidate, so this round cannot ACK
+        return False, None
     shift = assign.bits_total - plen
     best_rho, best_u = None, None
     alphabet = Alphabet(alpha)
@@ -110,7 +122,7 @@ def list_decode_step(
             best_rho, best_u = rho, cand
     if best_rho is None:
         return False, None
-    if n * best_rho <= i * r - n * delta:
+    if n * best_rho <= threshold:
         return True, SymbolSequence(alphabet, best_u)
     return False, None
 

@@ -8,6 +8,15 @@ trajectory is a function of the source (and side) sequence alone, the channel
 from U^n to the eavesdropper's Z^N factorizes chunk by chunk, which is what
 makes exact leakage accounting by enumeration possible.
 
+One enumerator computes that factorization for all (u^n, w^n) at once, by
+a recursion over chunks: each step extends every (u-prefix, w-prefix) pair
+by one chunk, multiplying its z-law by the kernel of the state the prefix
+left. Each entry is thus the left-to-right product of its chunk kernels,
+bit for bit what a per-row np.kron chain gives. The induced channel is its
+side_size == 1 slice. Budgets are checked before anything is allocated; peak
+memory is the output plus the previous level and its gathered kernels, each
+a fraction of the output.
+
 FSM file grammar (plain text, # comments allowed)::
 
     encoder              |  decoder
@@ -437,33 +446,16 @@ def _chunk_kernels(enc: StochasticEncoderSpec, triple: ChannelTriple) -> np.ndar
 def induced_security_channel(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> TransitionMatrix:
     """Exact channel P(z^N | u^n) induced by a plain encoder, by enumeration.
 
-    The encoder state trajectory is deterministic given u, so each row is a
-    Kronecker product of per-chunk kernels. Raises BudgetError when the
-    matrix would exceed the enumeration budget.
+    This is the side_size == 1 slice of the joint enumeration. Raises
+    BudgetError, before allocating anything, when the matrix would exceed
+    the enumeration budget.
     """
     if enc.side_size != 1:
         raise ValidationError("side-information encoders need conditional_leakage instead")
-    if n < 1 or n % enc.k != 0:
-        raise ValidationError(f"n = {n} is not a positive multiple of k = {enc.k}")
-    chunks = n // enc.k
-    big_n = chunks * enc.m
-    z_size = triple.wiretap.out_alphabet.size
-    u_total = enc.in_size ** n
-    z_total = z_size ** big_n
+    u_total, _, z_total = _enumeration_shape(enc, triple, n)
     if u_total * z_total > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"induced channel needs {u_total} x {z_total} entries, budget {ENUMERATION_BUDGET}"
-        )
-    kern = _chunk_kernels(enc, triple)[:, :, 0, :]
-    rows = np.empty((u_total, z_total))
-    for ug in range(u_total):
-        chunk_idx = index_to_block(ug, enc.u_blocks, chunks)
-        s = enc.initial_state
-        row = np.ones(1)
-        for ci in chunk_idx:
-            row = np.kron(row, kern[s, ci])
-            s = int(enc.next_state[s, ci, 0])
-        rows[ug] = row
+        raise BudgetError(f"induced channel needs {u_total} x {z_total} entries, budget {ENUMERATION_BUDGET}")
+    rows = _enumerate_g3(enc, triple, n).reshape(u_total, z_total)
     return TransitionMatrix(Alphabet(u_total), Alphabet(z_total), rows)
 
 
@@ -497,34 +489,55 @@ class LeakageReport:
         return self.i_uz_given_wdot + self.log2_qe - self.i_uz_given_w
 
 
-def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
-    """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n)."""
+def _enumeration_shape(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> tuple:
+    """(u_total, w_total, z_total) of the exact enumeration at block length n."""
     if n < 1 or n % enc.k != 0:
         raise ValidationError(f"n = {n} is not a positive multiple of k = {enc.k}")
-    chunks = n // enc.k
-    big_n = chunks * enc.m
-    z_size = triple.wiretap.out_alphabet.size
-    u_total = enc.in_size ** n
-    w_total = enc.side_size ** n
-    z_total = z_size ** big_n
-    if u_total * w_total * z_total > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"joint enumeration needs {u_total * w_total * z_total} entries, "
-            f"budget {ENUMERATION_BUDGET}"
-        )
+    return enc.in_size ** n, enc.side_size ** n, triple.wiretap.out_alphabet.size ** (n // enc.k * enc.m)
+
+
+def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
+    """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n), by the chunk recursion."""
+    u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
+    entries = u_total * w_total * z_total
+    if entries > ENUMERATION_BUDGET:
+        raise BudgetError(f"joint enumeration needs {entries} entries, budget {ENUMERATION_BUDGET}")
     kern = _chunk_kernels(enc, triple)
-    g3 = np.empty((u_total, w_total, z_total))
-    for ug in range(u_total):
-        u_chunks = index_to_block(ug, enc.u_blocks, chunks)
-        for wg in range(w_total):
-            w_chunks = index_to_block(wg, enc.w_blocks, chunks)
-            s = enc.initial_state
-            row = np.ones(1)
-            for ci, wi in zip(u_chunks, w_chunks):
-                row = np.kron(row, kern[s, ci, wi])
-                s = int(enc.next_state[s, ci, wi])
-            g3[ug, wg] = row
-    return g3
+    nu, nw, nz = kern.shape[1:]
+    level, states = np.ones((1, 1, 1)), np.full((1, 1), enc.initial_state)
+    for _ in range(n // enc.k):
+        pu, pw, pz = level.shape
+        nxt = np.empty((pu * nu, pw * nw, pz * nz))
+        # nxt[pu, nu, pw, nw, pz, nz] = level[pu, pw, pz] * kern[states[pu, pw], nu, nw, nz]
+        np.multiply(
+            level[:, None, :, None, :, None],
+            kern[states].transpose(0, 2, 1, 3, 4)[:, :, :, :, None, :],
+            out=nxt.reshape(pu, nu, pw, nw, pz, nz),
+        )
+        states = enc.next_state[states].transpose(0, 2, 1, 3).reshape(pu * nu, pw * nw)
+        level = nxt
+    return level
+
+
+def _leak_rows(enc: StochasticEncoderSpec, leak_channel: TransitionMatrix | None, n: int) -> np.ndarray:
+    """Rows of the n-fold leak channel W^n -> W-dot^n; None means W-dot = W."""
+    side = Alphabet(enc.side_size)
+    if leak_channel is None:
+        leak_channel = TransitionMatrix(side, side, np.eye(side.size))
+    if leak_channel.in_alphabet.size != side.size:
+        raise ValidationError(f"leak channel input {leak_channel.in_alphabet.size} does not match side alphabet {side.size}")
+    return _kron_power(leak_channel.rows, n) if n > 1 else leak_channel.rows
+
+
+def _leakage_report(enc, g3: np.ndarray, leak_n: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
+    p_uwz = mu_arr[:, :, None] * g3
+    p_udz = np.einsum("uwz,wd->udz", p_uwz, leak_n)
+    return LeakageReport(
+        i_uz=mutual_information_from_joint(p_uwz.sum(axis=1)),
+        i_uz_given_w=conditional_mutual_information(np.transpose(p_uwz, (0, 2, 1))),
+        i_uz_given_wdot=conditional_mutual_information(np.transpose(p_udz, (0, 2, 1))),
+        log2_qe=float(np.log2(enc.n_states)),
+    )
 
 
 def conditional_leakage(
@@ -544,34 +557,13 @@ def conditional_leakage(
     mu_arr = np.asarray(mu, dtype=float)
     if mu_arr.ndim == 1:
         mu_arr = mu_arr[:, None]
-    u_total = enc.in_size ** n
-    w_total = enc.side_size ** n
+    u_total, w_total = enc.in_size ** n, enc.side_size ** n
     if mu_arr.shape != (u_total, w_total):
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
     if mu_arr.min() < 0.0 or abs(float(mu_arr.sum()) - 1.0) > 1e-9:
         raise ValidationError("mu must be a joint probability distribution")
-    if leak_channel is None:
-        leak_channel = TransitionMatrix(
-            Alphabet(enc.side_size), Alphabet(enc.side_size), np.eye(enc.side_size)
-        )
-    if leak_channel.in_alphabet.size != enc.side_size:
-        raise ValidationError(
-            f"leak channel input {leak_channel.in_alphabet.size} does not match side alphabet "
-            f"{enc.side_size}"
-        )
-    g3 = _enumerate_g3(enc, triple, n)
-    p_uwz = mu_arr[:, :, None] * g3
-    leak_n = _kron_power(leak_channel.rows, n) if n > 1 else leak_channel.rows
-    p_udz = np.einsum("uwz,wd->udz", p_uwz, leak_n)
-    i_uz = mutual_information_from_joint(p_uwz.sum(axis=1))
-    i_uz_w = conditional_mutual_information(np.transpose(p_uwz, (0, 2, 1)))
-    i_uz_wd = conditional_mutual_information(np.transpose(p_udz, (0, 2, 1)))
-    return LeakageReport(
-        i_uz=i_uz,
-        i_uz_given_w=i_uz_w,
-        i_uz_given_wdot=i_uz_wd,
-        log2_qe=float(np.log2(enc.n_states)),
-    )
+    leak_n = _leak_rows(enc, leak_channel, n)
+    return _leakage_report(enc, _enumerate_g3(enc, triple, n), leak_n, mu_arr)
 
 
 def max_conditional_leakage(
@@ -584,20 +576,27 @@ def max_conditional_leakage(
     """Maximize conditional leakage over a simplex grid of joint mu.
 
     Exhaustive over compositions with resolution grid_step; tiny n only.
-    Returns (best LeakageReport, best mu).
+    G3 does not depend on mu, so it is enumerated once. The grid size and
+    the entries computed over the whole grid are checked against their
+    budgets before anything is allocated. Returns (best LeakageReport, best mu).
     """
-    cells = (enc.in_size ** n) * (enc.side_size ** n)
-    levels = int(round(1.0 / grid_step))
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError(f"grid step {grid_step} outside (0, 0.5]")
+    cells = (enc.in_size ** n) * (enc.side_size ** n)
+    levels = int(round(1.0 / grid_step))
     count = math.comb(levels + cells - 1, cells - 1)
     if count > 200000:
         raise BudgetError(f"mu grid would have {count} points, budget 200000")
+    u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
+    if count * cells * z_total > ENUMERATION_BUDGET:
+        raise BudgetError(f"mu grid of {count} points x {cells * z_total} entries exceeds budget {ENUMERATION_BUDGET}")
+    leak_n = _leak_rows(enc, leak_channel, n)
+    g3 = _enumerate_g3(enc, triple, n)
     best = None
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1
-        mu = (counts / levels).reshape(enc.in_size ** n, enc.side_size ** n)
-        rep = conditional_leakage(enc, triple, leak_channel, n, mu)
+        mu = (counts / levels).reshape(u_total, w_total)
+        rep = _leakage_report(enc, g3, leak_n, mu)
         if best is None or rep.i_uz_given_wdot > best[0].i_uz_given_wdot:
             best = (rep, mu)
     return best

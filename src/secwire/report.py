@@ -114,15 +114,18 @@ def render_json(obj, indent: int | None = 2) -> str:
 
 def flatten(obj, prefix: str = "") -> list:
     """Depth-first (key path, scalar) pairs; lists index as name[i]."""
-    obj = _coerce(obj)
-    out = []
+    out: list = []
+    _flatten_into(_coerce(obj), prefix, out)
+    return out
+
+
+def _flatten_into(obj, prefix: str, out: list) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
-            key = f"{prefix}.{k}" if prefix else k
-            out.extend(flatten(v, key))
+            _flatten_into(v, f"{prefix}.{k}" if prefix else k, out)
     elif isinstance(obj, list):
         for i, v in enumerate(obj):
-            out.extend(flatten(v, f"{prefix}[{i}]"))
+            _flatten_into(v, f"{prefix}[{i}]", out)
     else:
         if isinstance(obj, float):
             obj = fmt_float(obj)
@@ -131,7 +134,6 @@ def flatten(obj, prefix: str = "") -> list:
         elif obj is None:
             obj = ""
         out.append((prefix, obj))
-    return out
 
 
 def render_csv(obj) -> str:

@@ -226,3 +226,41 @@ def test_render_json_errors_match_two_pass_writer():
         with pytest.raises(ValidationError) as old:
             _old_render_json(doc)
         assert str(new.value) == str(old.value)
+
+
+# flatten as it was before it coerced the document once at the top: every
+# level of the recursion coerced its whole subtree again.
+def _old_flatten(obj, prefix=""):
+    obj = _old_coerce(obj)
+    out = []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            key = f"{prefix}.{k}" if prefix else k
+            out.extend(_old_flatten(v, key))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            out.extend(_old_flatten(v, f"{prefix}[{i}]"))
+    else:
+        if isinstance(obj, float):
+            obj = fmt_float(obj)
+        elif isinstance(obj, bool):
+            obj = "true" if obj else "false"
+        elif obj is None:
+            obj = ""
+        out.append((prefix, obj))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents, prefix=st.sampled_from(["", "run"]))
+def test_flatten_matches_per_level_coercion(doc, prefix):
+    assert flatten(doc, prefix) == _old_flatten(doc, prefix)
+
+
+def test_flatten_errors_match_per_level_coercion():
+    for doc in ({"a": [1, {2: "x"}]}, {"a": {1, 2}}, [1j]):
+        with pytest.raises(ValidationError) as new:
+            flatten(doc)
+        with pytest.raises(ValidationError) as old:
+            _old_flatten(doc)
+        assert str(new.value) == str(old.value)
