@@ -453,8 +453,11 @@ def induced_security_channel(enc: StochasticEncoderSpec, triple: ChannelTriple, 
     if enc.side_size != 1:
         raise ValidationError("side-information encoders need conditional_leakage instead")
     u_total, _, z_total = _enumeration_shape(enc, triple, n)
+    # the same product _enumerate_g3 checks (w_total is 1), kept for this message
     if u_total * z_total > ENUMERATION_BUDGET:
-        raise BudgetError(f"induced channel needs {u_total} x {z_total} entries, budget {ENUMERATION_BUDGET}")
+        raise BudgetError(
+            f"induced channel needs {u_total} x {z_total} entries, budget {ENUMERATION_BUDGET}"
+        )
     rows = _enumerate_g3(enc, triple, n).reshape(u_total, z_total)
     return TransitionMatrix(Alphabet(u_total), Alphabet(z_total), rows)
 
@@ -493,7 +496,8 @@ def _enumeration_shape(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int
     """(u_total, w_total, z_total) of the exact enumeration at block length n."""
     if n < 1 or n % enc.k != 0:
         raise ValidationError(f"n = {n} is not a positive multiple of k = {enc.k}")
-    return enc.in_size ** n, enc.side_size ** n, triple.wiretap.out_alphabet.size ** (n // enc.k * enc.m)
+    z_total = triple.wiretap.out_alphabet.size ** (n // enc.k * enc.m)
+    return enc.in_size ** n, enc.side_size ** n, z_total
 
 
 def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
@@ -519,14 +523,20 @@ def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> 
     return level
 
 
-def _leak_rows(enc: StochasticEncoderSpec, leak_channel: TransitionMatrix | None, n: int) -> np.ndarray:
-    """Rows of the n-fold leak channel W^n -> W-dot^n; None means W-dot = W."""
+def _leak_rows(enc: StochasticEncoderSpec, leak_channel: TransitionMatrix | None) -> np.ndarray:
+    """Rows of the one-letter leak channel W -> W-dot; None means W-dot = W.
+
+    Callers build its n-fold power only after the enumeration budget check.
+    """
     side = Alphabet(enc.side_size)
     if leak_channel is None:
         leak_channel = TransitionMatrix(side, side, np.eye(side.size))
     if leak_channel.in_alphabet.size != side.size:
-        raise ValidationError(f"leak channel input {leak_channel.in_alphabet.size} does not match side alphabet {side.size}")
-    return _kron_power(leak_channel.rows, n) if n > 1 else leak_channel.rows
+        raise ValidationError(
+            f"leak channel input {leak_channel.in_alphabet.size} does not match side alphabet "
+            f"{side.size}"
+        )
+    return leak_channel.rows
 
 
 def _leakage_report(enc, g3: np.ndarray, leak_n: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
@@ -562,8 +572,9 @@ def conditional_leakage(
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
     if mu_arr.min() < 0.0 or abs(float(mu_arr.sum()) - 1.0) > 1e-9:
         raise ValidationError("mu must be a joint probability distribution")
-    leak_n = _leak_rows(enc, leak_channel, n)
-    return _leakage_report(enc, _enumerate_g3(enc, triple, n), leak_n, mu_arr)
+    leak = _leak_rows(enc, leak_channel)
+    g3 = _enumerate_g3(enc, triple, n)
+    return _leakage_report(enc, g3, _kron_power(leak, n), mu_arr)
 
 
 def max_conditional_leakage(
@@ -587,11 +598,15 @@ def max_conditional_leakage(
     count = math.comb(levels + cells - 1, cells - 1)
     if count > 200000:
         raise BudgetError(f"mu grid would have {count} points, budget 200000")
+    leak = _leak_rows(enc, leak_channel)
     u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
     if count * cells * z_total > ENUMERATION_BUDGET:
-        raise BudgetError(f"mu grid of {count} points x {cells * z_total} entries exceeds budget {ENUMERATION_BUDGET}")
-    leak_n = _leak_rows(enc, leak_channel, n)
+        raise BudgetError(
+            f"mu grid of {count} points x {cells * z_total} entries exceeds budget "
+            f"{ENUMERATION_BUDGET}"
+        )
     g3 = _enumerate_g3(enc, triple, n)
+    leak_n = _kron_power(leak, n)
     best = None
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1

@@ -296,6 +296,26 @@ def test_enumerator_checks_budget_before_allocating():
     assert peak < 2 ** 20
 
 
+def test_conditional_leakage_checks_budget_before_leak_power():
+    # 2^9 * 2^9 * 2^9 joint entries are over budget; the 9-fold power of a
+    # 2 -> 3 leak channel would be 2^9 x 3^9 entries (80 MB), so it must not
+    # be built before the budget check raises
+    enc = _random_encoder(7, 1, 1, 2, 2)
+    triple = ChannelTriple(bsc(0.1), bsc(0.2))
+    leak = channel_from_rows([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    mu = np.full((2 ** 9, 2 ** 9), 1.0 / 2 ** 18)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="joint enumeration needs"):
+            fc.conditional_leakage(enc, triple, leak, 9, mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    with pytest.raises(ValidationError, match="leak channel input"):
+        fc.conditional_leakage(enc, triple, channel_from_rows([[1.0]] * 3), 9, mu)
+
+
 def _max_leakage_per_point(enc, triple, leak, n, grid_step):
     # the grid loop before G3 was hoisted: one full conditional_leakage per point
     cells = (enc.in_size ** n) * (enc.side_size ** n)
