@@ -1,14 +1,17 @@
 """Converse bounds on the key rate lambda = m/k from LZ complexity.
 
-All three bounds share the pattern (complexity - slack terms) / C_s; the
-slack terms zeta_n and eta_n are exact minimizations over the divisors of
-n/k, evaluated in log space when the exponential term overflows.
+Theorems 1 and 3 share one assembler, _assemble, which forms
+(rho - Delta - eps_s - penalty) / C_s from a complexity rho (rho_LZ(u), or
+rho_LZ(u|w) given side information) and a penalty (zeta_n, or eta_n). Both
+penalties are exact minimizations of a slack over the divisors of n/k in one
+divisor scan, _min_over_divisors, evaluated in log space when the exponential
+term overflows. Theorem 2 is a closed-form randomness bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
 from .parsing import conditional_lz_complexity, lz_complexity
@@ -105,6 +108,16 @@ def _pow_term(log2_value: float) -> float:
     return math.inf if log2_value > 1000.0 else 2.0 ** log2_value
 
 
+def _min_over_divisors(n: int, k: int, slack) -> tuple:
+    """(min, first argmin) of slack(k ell) over the block counts ell dividing n/k."""
+    best_v, best_l = math.inf, None
+    for ell in divisors(n // k):
+        v = slack(k * ell)
+        if v < best_v:
+            best_v, best_l = v, ell
+    return best_v, best_l
+
+
 def zeta_n(n: int, params: BoundParams) -> tuple:
     """Minimize the Theorem-1 slack over block counts ell dividing n/k.
 
@@ -114,19 +127,17 @@ def zeta_n(n: int, params: BoundParams) -> tuple:
     """
     _check_n(n, params.k)
     la = math.log2(params.alpha)
-    best_v, best_l = math.inf, None
-    for ell in divisors(n // params.k):
-        kl = params.k * ell
+
+    def slack(kl):
         t1 = (math.log2(params.q_d) + 1.0) / kl
         t2 = 2.0 * kl * (la + 1.0) ** 2 / ((1.0 - params.eps_n) * math.log2(n))
         if la > 0.0:
             t3 = _pow_term(math.log2(2.0 * kl) + 2.0 * kl * la + math.log2(la) - math.log2(n))
         else:
             t3 = 0.0
-        v = t1 + t2 + t3
-        if v < best_v:
-            best_v, best_l = v, ell
-    return best_v, best_l
+        return t1 + t2 + t3
+
+    return _min_over_divisors(n, params.k, slack)
 
 
 def eta_n(n: int, params: BoundParams) -> tuple:
@@ -141,9 +152,8 @@ def eta_n(n: int, params: BoundParams) -> tuple:
     aw = params.alpha * params.omega
     if aw < 2:
         raise ValidationError(f"alpha * omega must be >= 2, got {aw}")
-    best_v, best_l = math.inf, None
-    for ell in divisors(n // params.k):
-        kl = params.k * ell
+
+    def slack(kl):
         # exact integer A; log2 accepts arbitrarily large ints
         a_count = (aw ** (kl + 1) - 1) // (aw - 1)
         log2_a = math.log2(a_count)
@@ -151,10 +161,9 @@ def eta_n(n: int, params: BoundParams) -> tuple:
         t1 = (math.log2(params.q_d * params.q_e) + 1.0) / kl
         t2 = log2_4a2 / ((1.0 - params.eps_n) * math.log2(n))
         t3 = _pow_term(2.0 * log2_a + math.log2(log2_4a2) - math.log2(n))
-        v = t1 + t2 + t3
-        if v < best_v:
-            best_v, best_l = v, ell
-    return best_v, best_l
+        return t1 + t2 + t3
+
+    return _min_over_divisors(n, params.k, slack)
 
 
 def _check_n(n: int, k: int) -> None:
@@ -162,6 +171,64 @@ def _check_n(n: int, k: int) -> None:
         raise ValidationError(f"n must be an integer >= 2, got {n!r}")
     if n % k != 0:
         raise ValidationError(f"k = {k} does not divide n = {n}")
+
+
+def _checked_length(u: SymbolSequence, params: BoundParams, c_s: float, n: int | None, w=None) -> int:
+    """Input checks shared by Theorems 1 and 3; returns n (default len(u)).
+
+    Each theorem calls _check_n(n) itself: Theorem 1 takes its prefix first,
+    so there a negative n is reported as a bad prefix length.
+    """
+    if c_s <= 0.0:
+        raise ValidationError(f"secrecy capacity must be positive, got {c_s}")
+    if params.alpha != u.alphabet.size:
+        raise ValidationError(
+            f"params.alpha = {params.alpha} does not match sequence alphabet {u.alphabet.size}"
+        )
+    if w is not None:
+        if params.omega != w.alphabet.size:
+            raise ValidationError(
+                f"params.omega = {params.omega} does not match side alphabet {w.alphabet.size}"
+            )
+        if len(u) != len(w):
+            raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
+    n = len(u) if n is None else n
+    if n > len(u):
+        raise ValidationError(f"n = {n} exceeds sequence length {len(u)}")
+    return n
+
+
+def _assemble(rho: float, slack, params: BoundParams, c_s: float, n: int) -> BoundReport:
+    """The one bound shape (rho - Delta - eps_s - penalty) / C_s.
+
+    slack is zeta_n or eta_n, called after Delta as the theorems always have,
+    so an invalid alpha is reported before an invalid alpha * omega.
+    """
+    delta = delta_eps(params.eps_r, params.alpha)
+    penalty, ell = slack(n, params)
+    numerator = rho - delta - params.eps_s - penalty
+    return BoundReport(
+        bound_value=numerator / c_s,
+        terms={"rho": rho, "delta": delta, "eps_s": params.eps_s, "penalty": penalty, "c_s": c_s, "n": n},
+        ell_star=ell,
+        vacuous=numerator <= 0.0,
+    )
+
+
+def _truncated_length(n: int, k: int) -> int | None:
+    """Prefix length for the alternative bound, or None.
+
+    Set only when n/k is a prime above 3, whose bare divisor set leaves the
+    penalty minimization no useful block count.
+    """
+    chunks = n // k
+    if chunks <= 3 or len(divisors(chunks)) != 2:
+        return None
+    ell = max(2, math.isqrt(int(math.log2(n))) + 1)
+    n_alt = (n // (k * ell)) * k * ell
+    if n_alt < 2 or n_alt == n:
+        return None
+    return n_alt
 
 
 def theorem1_bound(
@@ -172,63 +239,14 @@ def theorem1_bound(
     _allow_alternative: bool = True,
 ) -> BoundReport:
     """Key-rate lower bound lam >= (rho_LZ(u) - Delta - eps_s - zeta_n) / C_s."""
-    if c_s <= 0.0:
-        raise ValidationError(f"secrecy capacity must be positive, got {c_s}")
-    if params.alpha != u.alphabet.size:
-        raise ValidationError(
-            f"params.alpha = {params.alpha} does not match sequence alphabet {u.alphabet.size}"
-        )
-    n = len(u) if n is None else n
-    if n > len(u):
-        raise ValidationError(f"n = {n} exceeds sequence length {len(u)}")
+    n = _checked_length(u, params, c_s, n)
     prefix = u.prefix(n)
     _check_n(n, params.k)
-    rho = lz_complexity(prefix)
-    delta = delta_eps(params.eps_r, params.alpha)
-    zeta, ell = zeta_n(n, params)
-    numerator = rho - delta - params.eps_s - zeta
-    report = BoundReport(
-        bound_value=numerator / c_s,
-        terms={"rho": rho, "delta": delta, "eps_s": params.eps_s, "penalty": zeta, "c_s": c_s, "n": n},
-        ell_star=ell,
-        vacuous=numerator <= 0.0,
-    )
-    if _allow_alternative:
-        alt = _truncated_alternative(u, params, c_s, n, theorem1_bound)
-        if alt is not None:
-            report = BoundReport(
-                bound_value=report.bound_value,
-                terms=report.terms,
-                ell_star=report.ell_star,
-                vacuous=report.vacuous,
-                alternative=alt,
-            )
+    report = _assemble(lz_complexity(prefix), zeta_n, params, c_s, n)
+    n_alt = _truncated_length(n, params.k) if _allow_alternative else None
+    if n_alt is not None:
+        report = replace(report, alternative=theorem1_bound(u, params, c_s, n=n_alt, _allow_alternative=False))
     return report
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _truncated_alternative(u, params, c_s, n, bound_fn, w=None):
-    """Recompute on a shorter prefix when n/k is prime (divisor set is bare)."""
-    chunks = n // params.k
-    if not _is_prime(chunks) or chunks <= 3:
-        return None
-    ell = max(2, math.isqrt(int(math.log2(n))) + 1)
-    n_alt = (n // (params.k * ell)) * params.k * ell
-    if n_alt < 2 or n_alt == n:
-        return None
-    if w is None:
-        return bound_fn(u, params, c_s, n=n_alt, _allow_alternative=False)
-    return bound_fn(u, w, params, c_s, n=n_alt, _allow_alternative=False)
 
 
 def theorem2_bound(params: BoundParams, ell: int, i_xz_star: float) -> float:
@@ -254,40 +272,10 @@ def theorem3_bound(
     _allow_alternative: bool = True,
 ) -> BoundReport:
     """Side-information bound lam >= (rho_LZ(u|w) - Delta - eps_s - eta_n) / C_s."""
-    if c_s <= 0.0:
-        raise ValidationError(f"secrecy capacity must be positive, got {c_s}")
-    if params.alpha != u.alphabet.size:
-        raise ValidationError(
-            f"params.alpha = {params.alpha} does not match sequence alphabet {u.alphabet.size}"
-        )
-    if params.omega != w.alphabet.size:
-        raise ValidationError(
-            f"params.omega = {params.omega} does not match side alphabet {w.alphabet.size}"
-        )
-    if len(u) != len(w):
-        raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
-    n = len(u) if n is None else n
-    if n > len(u):
-        raise ValidationError(f"n = {n} exceeds sequence length {len(u)}")
+    n = _checked_length(u, params, c_s, n, w)
     _check_n(n, params.k)
-    rho = conditional_lz_complexity(u.prefix(n), w.prefix(n))
-    delta = delta_eps(params.eps_r, params.alpha)
-    eta, ell = eta_n(n, params)
-    numerator = rho - delta - params.eps_s - eta
-    report = BoundReport(
-        bound_value=numerator / c_s,
-        terms={"rho": rho, "delta": delta, "eps_s": params.eps_s, "penalty": eta, "c_s": c_s, "n": n},
-        ell_star=ell,
-        vacuous=numerator <= 0.0,
-    )
-    if _allow_alternative:
-        alt = _truncated_alternative(u, params, c_s, n, theorem3_bound, w=w)
-        if alt is not None:
-            report = BoundReport(
-                bound_value=report.bound_value,
-                terms=report.terms,
-                ell_star=report.ell_star,
-                vacuous=report.vacuous,
-                alternative=alt,
-            )
+    report = _assemble(conditional_lz_complexity(u.prefix(n), w.prefix(n)), eta_n, params, c_s, n)
+    n_alt = _truncated_length(n, params.k) if _allow_alternative else None
+    if n_alt is not None:
+        report = replace(report, alternative=theorem3_bound(u, w, params, c_s, n=n_alt, _allow_alternative=False))
     return report

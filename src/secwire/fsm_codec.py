@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ChannelTriple, TransitionMatrix, sample
+from .channels import ROW_TOL, ChannelTriple, TransitionMatrix, sample
 from .errors import BudgetError, ValidationError
 from .info_measures import (
     CapacityResult,
@@ -58,7 +58,6 @@ from .rand import as_rng, substream
 from .sequences import Alphabet, SymbolSequence, read_text
 
 ENUMERATION_BUDGET = 2 ** 24  # max entries in any exactly enumerated matrix
-PROB_TOL = 1e-12
 
 
 def block_to_index(block, base: int) -> int:
@@ -98,7 +97,7 @@ def _normalize_emit(emit, n_states, u_blocks, w_blocks, x_blocks):
             if p > 0.0:
                 seen[x] = float(p)
         total = sum(seen.values())
-        if abs(total - 1.0) > PROB_TOL:
+        if abs(total - 1.0) > ROW_TOL:
             raise ValidationError(f"emission for key {key} sums to {total!r}")
         table[(s, u, w)] = tuple(sorted(seen.items()))
     for s in range(n_states):

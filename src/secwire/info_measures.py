@@ -4,12 +4,18 @@ Probability vectors are plain 1-D arrays validated at the API boundary
 (nonnegative entries summing to 1 within 1e-12).
 
 Solver certification: channel_capacity runs Blahut-Arimoto and certifies with
-the standard duality gap max_x D(Q_x || q) - I(p). secrecy_capacity maximizes
-f(p) = I(X;Y) - I(X;Z), which is concave for the degraded triple, with a
-pairwise conditional-gradient ascent (exact golden-section line searches,
-deterministic multistarts); its certified_gap is the Frank-Wolfe duality gap,
-an upper bound on suboptimality at any iterate. Binary input alphabets take an
-essentially exact one-dimensional search instead.
+the standard duality gap max_x D(Q_x || q) - I(p). secrecy_capacity and gamma
+maximize f(p) = I(X;Y) - I(X;Z), which is concave for the degraded triple,
+with one ascent (_ascent): a pairwise conditional-gradient method with exact
+golden-section line searches from deterministic multistarts, or for binary
+inputs an essentially exact one-dimensional golden-section search. Both
+report as certified_gap the Frank-Wolfe duality gap max_x s_x - s . p (s the
+gradient of f) at the returned point, an upper bound on its suboptimality
+(Jaggi 2013). gamma adds the constraint I(X;Y) >= R: its starts are mixed
+toward the capacity-achieving input until feasible, its binary interval and
+every line search are clipped by bisection to the feasible set, and it also
+searches toward the capacity-achieving input. Its gap stays the
+unconstrained one, which still bounds the constrained suboptimality.
 """
 
 from __future__ import annotations
@@ -20,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelTriple, TransitionMatrix
+from .channels import ROW_TOL, ChannelTriple, TransitionMatrix
 from .errors import BudgetError, InfeasibleError, ValidationError
 
-PROB_TOL = 1e-12
 _TINY = 1e-320
 
 
@@ -38,10 +43,10 @@ def check_prob_vector(p, size: int | None = None) -> np.ndarray:
     if not finite.all():
         raise ValidationError(f"non-finite probability {float(arr[~finite][0])}")
     if np.any(arr < 0.0):
-        raise ValidationError(f"negative probability {arr.min()!r}")
+        raise ValidationError(f"negative probability {float(arr.min())!r}")
     residual = abs(float(arr.sum()) - 1.0)
-    if residual > PROB_TOL:
-        raise ValidationError(f"probabilities sum residual {residual:.6g} exceeds {PROB_TOL}")
+    if residual > ROW_TOL:
+        raise ValidationError(f"probabilities sum residual {residual:.6g} exceeds {ROW_TOL}")
     return arr
 
 
@@ -118,7 +123,7 @@ def _check_joint(joint, ndim: int) -> np.ndarray:
     if not finite.all():
         raise ValidationError(f"non-finite joint probability {float(arr[~finite][0])}")
     if arr.min() < -1e-12:
-        raise ValidationError(f"negative joint probability {arr.min()!r}")
+        raise ValidationError(f"negative joint probability {float(arr.min())!r}")
     arr = np.maximum(arr, 0.0)
     total = float(arr.sum())
     if abs(total - 1.0) > 1e-9:
@@ -175,8 +180,7 @@ def channel_capacity(ch: TransitionMatrix, tol: float = 1e-9, max_iter: int = 20
         raise ValidationError(f"tolerance must be positive, got {tol}")
     rows = ch.rows
     n = rows.shape[0]
-    mask = rows > 0.0
-    row_neg_ent = np.where(mask, rows * np.log2(np.where(mask, rows, 1.0)), 0.0).sum(axis=1)
+    row_neg_ent = _neg_row_entropies(rows)
     p = np.full(n, 1.0 / n)
     best = None
     it = 0
@@ -243,6 +247,70 @@ def _simplex_starts(n: int) -> list:
     return starts[:8] if n > 2 else starts
 
 
+def _cg_directions(p: np.ndarray, j_plus: int, j_minus: int):
+    """The pairwise (away-to-toward) and Frank-Wolfe directions with their step limits."""
+    if j_plus != j_minus:
+        direction = np.zeros(p.size)
+        direction[j_plus] = 1.0
+        direction[j_minus] = -1.0
+        yield direction, float(p[j_minus])
+    direction = -p.copy()
+    direction[j_plus] += 1.0
+    yield direction, 1.0
+
+
+def _ascent(triple: ChannelTriple, interval, starts, directions, tol: float, max_iter: int) -> CapacityResult:
+    """Maximize I(X;Y) - I(X;Z); certified_gap is the FW gap at the returned point.
+
+    Binary inputs take one golden-section search over p[0] in interval() and
+    report 300 iterations. Larger alphabets run a conditional-gradient ascent
+    from every point of starts(): each step line-searches every
+    (direction, t_max) pair that directions(p, j_plus, j_minus) yields over
+    [0, t_max] (pairs with t_max <= 0 are skipped) and moves to the best
+    point, stopping when the gap is within tol, no step improves, or after
+    max_iter steps. The best start's end point is returned.
+    """
+    neg_ent_m = _neg_row_entropies(triple.main.rows)
+    neg_ent_c = _neg_row_entropies(triple.cascade.rows)
+    value = _secrecy_objective(triple)
+
+    if triple.main.in_alphabet.size == 2:
+        lo, hi = interval()
+        t, fval = _golden_max(lambda t: value(np.array([t, 1.0 - t])), lo, hi)[:2]
+        p, total_it = np.array([t, 1.0 - t]), 300
+    else:
+        best = None
+        total_it = 0
+        for p0 in starts():
+            p = p0.copy()
+            fval = value(p)
+            for _ in range(max_iter):
+                total_it += 1
+                slopes = _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c)
+                if _fw_gap(p, slopes) <= tol:
+                    break
+                j_plus = int(np.argmax(slopes))
+                active = np.flatnonzero(p > 1e-15)
+                j_minus = int(active[np.argmin(slopes[active])])
+                candidates = []
+                for direction, t_max in directions(p, j_plus, j_minus):
+                    if t_max <= 0.0:
+                        continue
+                    t, ft = _golden_max(lambda t: value(_step(p, direction, t)), 0.0, t_max)[:2]
+                    candidates.append((ft, _step(p, direction, t)))
+                if not candidates:
+                    break
+                ft, p_new = max(candidates, key=lambda c: c[0])
+                if ft <= fval + 1e-16:
+                    break
+                p, fval = p_new, ft
+            if best is None or fval > best[0]:
+                best = (fval, p)
+        fval, p = best
+    gap = _fw_gap(p, _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
+    return CapacityResult(value=fval, argmax=p, iterations=total_it, certified_gap=max(gap, 0.0))
+
+
 def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2000) -> CapacityResult:
     """Maximize I(X;Y) - I(X;Z) over input distributions.
 
@@ -250,53 +318,7 @@ def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2
     the objective is concave for the degraded cascade construction.
     """
     n = triple.main.in_alphabet.size
-    neg_ent_m = _neg_row_entropies(triple.main.rows)
-    neg_ent_c = _neg_row_entropies(triple.cascade.rows)
-    value = _secrecy_objective(triple)
-
-    if n == 2:
-        t, fval = _golden_max(
-            lambda t: value(np.array([t, 1.0 - t])), 0.0, 1.0, rtol=1e-13, max_iter=300
-        )[:2]
-        p = np.array([t, 1.0 - t])
-        gap = _fw_gap(p, _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
-        return CapacityResult(value=fval, argmax=p, iterations=300, certified_gap=max(gap, 0.0))
-
-    best = None
-    total_it = 0
-    for p0 in _simplex_starts(n):
-        p = p0.copy()
-        fval = value(p)
-        gap = math.inf
-        for _ in range(max_iter):
-            total_it += 1
-            slopes = _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c)
-            gap = _fw_gap(p, slopes)
-            if gap <= tol:
-                break
-            j_plus = int(np.argmax(slopes))
-            active = np.flatnonzero(p > 1e-15)
-            j_minus = int(active[np.argmin(slopes[active])])
-            candidates = []
-            if j_plus != j_minus:
-                t_max = float(p[j_minus])
-                direction = np.zeros(n)
-                direction[j_plus] = 1.0
-                direction[j_minus] = -1.0
-                t, ft = _golden_max(lambda t: value(_step(p, direction, t)), 0.0, t_max)[:2]
-                candidates.append((ft, _step(p, direction, t)))
-            direction = -p.copy()
-            direction[j_plus] += 1.0
-            t, ft = _golden_max(lambda t: value(_step(p, direction, t)), 0.0, 1.0)[:2]
-            candidates.append((ft, _step(p, direction, t)))
-            ft, p_new = max(candidates, key=lambda c: c[0])
-            if ft <= fval + 1e-16:
-                break
-            p, fval = p_new, ft
-        if best is None or fval > best[0]:
-            best = (fval, p, gap)
-    fval, p, gap = best
-    return CapacityResult(value=fval, argmax=p, iterations=total_it, certified_gap=max(gap, 0.0))
+    return _ascent(triple, lambda: (0.0, 1.0), lambda: _simplex_starts(n), _cg_directions, tol, max_iter)
 
 
 def _neg_row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -374,121 +396,45 @@ def gamma(triple: ChannelTriple, rate: float, tol: float = 1e-9) -> CapacityResu
             f"rate {rate:.10g} exceeds main-channel capacity {cap.value:.10g}"
         )
     rate = min(rate, cap.value)
-    neg_ent_m = _neg_row_entropies(triple.main.rows)
-    neg_ent_c = _neg_row_entropies(triple.cascade.rows)
-    value = _secrecy_objective(triple)
     ent_m = _row_entropies(triple.main.rows)
-
-    def main_rate(p):
-        return _mi_raw(p, triple.main.rows, ent_m)
-
-    if n == 2:
-        t_cap = float(cap.argmax[0])
-
-        def rate_at(t):
-            return main_rate(np.array([t, 1.0 - t]))
-
-        lo = _feasible_boundary(rate_at, 0.0, t_cap, rate)
-        hi = _feasible_boundary(rate_at, 1.0, t_cap, rate)
-        t, fval = _golden_max(lambda t: value(np.array([t, 1.0 - t])), min(lo, hi), max(lo, hi))[:2]
-        p = np.array([t, 1.0 - t])
-        gap = _fw_gap(p, _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
-        return CapacityResult(value=fval, argmax=p, iterations=300, certified_gap=max(gap, 0.0))
-
     p_cap = cap.argmax
-    starts = []
-    for p0 in _simplex_starts(n):
-        starts.append(_mix_until_feasible(p0, p_cap, main_rate, rate))
-    best = None
-    total_it = 0
-    for p0 in starts:
-        p = p0.copy()
-        fval = value(p)
-        for _ in range(2000):
-            total_it += 1
-            slopes = _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c)
-            if _fw_gap(p, slopes) <= tol:
-                break
-            j_plus = int(np.argmax(slopes))
-            active = np.flatnonzero(p > 1e-15)
-            j_minus = int(active[np.argmin(slopes[active])])
-            candidates = []
-            for direction, t_cap_step in _gamma_directions(p, j_plus, j_minus, p_cap):
-                t_feas = _segment_feasible_extent(p, direction, t_cap_step, main_rate, rate)
-                if t_feas <= 0.0:
-                    continue
-                t, ft = _golden_max(lambda t: value(_step(p, direction, t)), 0.0, t_feas)[:2]
-                candidates.append((ft, _step(p, direction, t)))
-            if not candidates:
-                break
-            ft, p_new = max(candidates, key=lambda c: c[0])
-            if ft <= fval + 1e-16:
-                break
-            p, fval = p_new, ft
-        if best is None or fval > best[0]:
-            best = (fval, p)
-    fval, p = best
-    gap = _fw_gap(p, _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
-    return CapacityResult(value=fval, argmax=p, iterations=total_it, certified_gap=max(gap, 0.0))
+
+    def feasible(p):
+        return _mi_raw(p, triple.main.rows, ent_m) >= rate
+
+    def interval():
+        t_cap = float(p_cap[0])
+        ends = [
+            _feasible_boundary(lambda t: feasible(np.array([t, 1.0 - t])), t_cap, end) for end in (0.0, 1.0)
+        ]
+        return min(ends), max(ends)
+
+    def start(p0):
+        s = _feasible_boundary(lambda s: feasible((1.0 - s) * p0 + s * p_cap), 1.0, 0.0)
+        return (1.0 - s) * p0 + s * p_cap
+
+    def directions(p, j_plus, j_minus):
+        for direction, t_max in itertools.chain(_cg_directions(p, j_plus, j_minus), [(p_cap - p, 1.0)]):
+            yield direction, _feasible_boundary(lambda t: feasible(_step(p, direction, t)), 0.0, t_max)
+
+    return _ascent(triple, interval, lambda: map(start, _simplex_starts(n)), directions, tol, 2000)
 
 
-def _feasible_boundary(rate_at, outer: float, inner: float, target: float) -> float:
-    """Smallest move from inner toward outer keeping rate_at >= target.
+def _feasible_boundary(pred, inner: float, outer: float) -> float:
+    """Farthest point from inner toward outer at which pred still holds.
 
-    rate_at is concave along the segment and rate_at(inner) >= target.
+    pred(inner) holds and pred holds on an interval around inner (a rate
+    constraint along a segment, where I(X;Y) is concave); 100 bisections.
     """
-    if rate_at(outer) >= target:
+    if pred(outer):
         return outer
-    lo, hi = inner, outer
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid) >= target:
-            lo = mid
+        mid = 0.5 * (inner + outer)
+        if pred(mid):
+            inner = mid
         else:
-            hi = mid
-    return lo
-
-
-def _mix_until_feasible(p0: np.ndarray, p_cap: np.ndarray, main_rate, rate: float) -> np.ndarray:
-    if main_rate(p0) >= rate:
-        return p0
-    lo, hi = 0.0, 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if main_rate((1.0 - mid) * p0 + mid * p_cap) >= rate:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * p0 + hi * p_cap
-
-
-def _gamma_directions(p, j_plus, j_minus, p_cap):
-    n = p.size
-    if j_plus != j_minus:
-        d = np.zeros(n)
-        d[j_plus] = 1.0
-        d[j_minus] = -1.0
-        yield d, float(p[j_minus])
-    d = -p.copy()
-    d[j_plus] += 1.0
-    yield d, 1.0
-    yield p_cap - p, 1.0
-
-
-def _segment_feasible_extent(p, direction, t_max, main_rate, rate) -> float:
-    """Largest t in [0, t_max] with main_rate(p + t d) >= rate (concave in t)."""
-    if t_max <= 0.0:
-        return 0.0
-    if main_rate(_step(p, direction, t_max)) >= rate:
-        return t_max
-    lo, hi = 0.0, t_max
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if main_rate(_step(p, direction, mid)) >= rate:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            outer = mid
+    return inner
 
 
 def gamma_curve(triple: ChannelTriple, points: int = 50, tol: float = 1e-9) -> GammaCurve:

@@ -37,6 +37,19 @@ def test_validate_reports_row_and_residual():
     assert validate([[0.5, -0.1, 0.6]]) is not None
 
 
+def test_validate_messages_print_plain_numbers():
+    assert validate([[0.5, 0.5], [1.5, -0.5]]) == "row 1: entry 1.5 outside [0, 1]"
+    assert validate(np.array([[-0.25, 1.25]])) == "row 0: entry -0.25 outside [0, 1]"
+
+
+def test_cascade_rounding_to_one_plus_ulp_is_accepted():
+    # row-stochastic in exact arithmetic; the cascade's entry (0, 0) rounds to 1 + 2^-52
+    main = channel_from_rows([[0.28806230906384017, 0.28883473413812755, 0.4231029567980324], [0.5, 0.25, 0.25]])
+    triple = ChannelTriple(main, channel_from_rows([[1.0, 0.0]] * 3))
+    assert triple.cascade.rows[0, 0] == 1.0 + 2.0 ** -52
+    assert validate([[1.0 + 2e-12, 0.0]]) == "row 0: entry 1.000000000002 outside [0, 1]"
+
+
 def test_construction_rejects_bad_rows():
     with pytest.raises(ValidationError):
         channel_from_rows([[0.6, 0.6], [0.5, 0.5]])

@@ -57,6 +57,13 @@ def test_probability_gates_reject_non_finite(bad):
         conditional_mutual_information(np.full((2, 2, 2), 0.125) + np.array([bad] + [0.0] * 7).reshape(2, 2, 2))
 
 
+def test_probability_gates_print_plain_numbers():
+    with pytest.raises(ValidationError, match=r"^negative probability -0\.5$"):
+        entropy([-0.5, 1.5])
+    with pytest.raises(ValidationError, match=r"^negative joint probability -0\.25$"):
+        mutual_information_from_joint(np.array([[-0.25, 0.75], [0.25, 0.25]]))
+
+
 def test_mutual_information_extremes():
     assert abs(mutual_information([0.3, 0.7], bsc(0.5))) < 1e-12
     assert math.isclose(mutual_information([0.3, 0.7], identity_channel(2)), _h2(0.3))
