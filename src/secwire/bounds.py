@@ -176,8 +176,7 @@ def _check_n(n: int, k: int) -> None:
 def _checked_length(u: SymbolSequence, params: BoundParams, c_s: float, n: int | None, w=None) -> int:
     """Input checks shared by Theorems 1 and 3; returns n (default len(u)).
 
-    Each theorem calls _check_n(n) itself: Theorem 1 takes its prefix first,
-    so there a negative n is reported as a bad prefix length.
+    n is checked before either theorem takes a prefix of length n.
     """
     if c_s <= 0.0:
         raise ValidationError(f"secrecy capacity must be positive, got {c_s}")
@@ -195,6 +194,7 @@ def _checked_length(u: SymbolSequence, params: BoundParams, c_s: float, n: int |
     n = len(u) if n is None else n
     if n > len(u):
         raise ValidationError(f"n = {n} exceeds sequence length {len(u)}")
+    _check_n(n, params.k)
     return n
 
 
@@ -240,9 +240,7 @@ def theorem1_bound(
 ) -> BoundReport:
     """Key-rate lower bound lam >= (rho_LZ(u) - Delta - eps_s - zeta_n) / C_s."""
     n = _checked_length(u, params, c_s, n)
-    prefix = u.prefix(n)
-    _check_n(n, params.k)
-    report = _assemble(lz_complexity(prefix), zeta_n, params, c_s, n)
+    report = _assemble(lz_complexity(u.prefix(n)), zeta_n, params, c_s, n)
     n_alt = _truncated_length(n, params.k) if _allow_alternative else None
     if n_alt is not None:
         report = replace(report, alternative=theorem1_bound(u, params, c_s, n=n_alt, _allow_alternative=False))
@@ -273,7 +271,6 @@ def theorem3_bound(
 ) -> BoundReport:
     """Side-information bound lam >= (rho_LZ(u|w) - Delta - eps_s - eta_n) / C_s."""
     n = _checked_length(u, params, c_s, n, w)
-    _check_n(n, params.k)
     report = _assemble(conditional_lz_complexity(u.prefix(n), w.prefix(n)), eta_n, params, c_s, n)
     n_alt = _truncated_length(n, params.k) if _allow_alternative else None
     if n_alt is not None:

@@ -17,7 +17,9 @@ side_size == 1 slice. Budgets are checked before anything is allocated; peak
 memory is the output plus the previous level and its gathered kernels, each
 a fraction of the output.
 
-FSM file grammar (plain text, # comments allowed)::
+FSM file grammar (plain text, # comments allowed). Encoders and decoders
+share one grammar: the kind, the scalars (input alphabet before output
+alphabet), then rule lines keyed by (state, input block, side block)::
 
     encoder              |  decoder
     k 1                  |  k 1
@@ -32,9 +34,10 @@ FSM file grammar (plain text, # comments allowed)::
 
 Blocks are comma-joined symbols (``0,1``). ``next`` and ``out`` lines accept
 ``*`` wildcards for the state or for block positions; the first matching line
-wins and every concrete combination must be covered. ``emit`` lines are
-explicit; omitted PROB means 1. Multiple emit lines per (state, input) build
-up the distribution.
+wins and every concrete combination must be covered. ``emit`` lines belong to
+encoders only and are explicit; omitted PROB means 1. Multiple emit lines per
+(state, input) build up the distribution. A line of the other kind (``emit``
+or ``beta`` in a decoder, ``out`` or ``gamma`` in an encoder) is an error.
 """
 
 from __future__ import annotations
@@ -100,26 +103,60 @@ def _normalize_emit(emit, n_states, u_blocks, w_blocks, x_blocks):
         if abs(total - 1.0) > ROW_TOL:
             raise ValidationError(f"emission for key {key} sums to {total!r}")
         table[(s, u, w)] = tuple(sorted(seen.items()))
-    for s in range(n_states):
-        for u in range(u_blocks):
-            for w in range(w_blocks):
-                if (s, u, w) not in table:
-                    raise ValidationError(f"emission undefined for (state={s}, u={u}, w={w})")
+    for s, u, w in itertools.product(range(n_states), range(u_blocks), range(w_blocks)):
+        if (s, u, w) not in table:
+            raise ValidationError(f"emission undefined for (state={s}, u={u}, w={w})")
     return table
 
 
-def _normalize_table(table, shape, limit, name):
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.shape != shape:
-        raise ValidationError(f"{name} table shape {arr.shape}, expected {shape}")
-    if arr.min() < 0 or arr.max() >= limit:
-        raise ValidationError(f"{name} table entry outside [0, {limit})")
-    arr.setflags(write=False)
-    return arr
+@dataclass(frozen=True, eq=False)
+class _FsmSpec:
+    """Scalars, checks and helpers shared by encoder and decoder specs.
+
+    Each spec class adds its own table, then next_state, side_size and
+    initial_state, so all four keep the field order of their constructors.
+    Tables are indexed by (state, input block, side block).
+    """
+
+    k: int
+    m: int
+    in_size: int
+    out_size: int
+    n_states: int
+
+    _side_only = False
+
+    def __post_init__(self):
+        for name in ("k", "m", "in_size", "out_size", "n_states", "side_size"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+        if not 0 <= self.initial_state < self.n_states:
+            raise ValidationError(f"initial state {self.initial_state} out of range")
+        self._normalize_tables()
+        if self._side_only and self.side_size < 2:
+            raise ValidationError(f"side-information {self._kind} needs side_size >= 2")
+
+    def _set_table(self, field: str, in_blocks: int, limit: int, name: str) -> None:
+        arr = np.asarray(getattr(self, field), dtype=np.int64)
+        shape = (self.n_states, in_blocks, self.w_blocks)
+        if arr.shape != shape:
+            raise ValidationError(f"{name} table shape {arr.shape}, expected {shape}")
+        if arr.min() < 0 or arr.max() >= limit:
+            raise ValidationError(f"{name} table entry outside [0, {limit})")
+        arr.setflags(write=False)
+        object.__setattr__(self, field, arr)
+
+    @property
+    def w_blocks(self) -> int:
+        return self.side_size ** self.k
+
+    def with_initial_state(self, state: int) -> _FsmSpec:
+        return replace(self, initial_state=state)
 
 
 @dataclass(frozen=True, eq=False)
-class StochasticEncoderSpec:
+class StochasticEncoderSpec(_FsmSpec):
     """Finite-state stochastic encoder.
 
     emit maps (state, u-block index, w-block index) to a sparse distribution
@@ -127,116 +164,73 @@ class StochasticEncoderSpec:
     side_size 1. next_state has shape (states, u_blocks, w_blocks).
     """
 
-    k: int
-    m: int
-    in_size: int
-    out_size: int
-    n_states: int
     emit: dict
     next_state: np.ndarray
     side_size: int = 1
     initial_state: int = 0
 
-    def __post_init__(self):
-        for name in ("k", "m", "in_size", "out_size", "n_states", "side_size"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if not 0 <= self.initial_state < self.n_states:
-            raise ValidationError(f"initial state {self.initial_state} out of range")
-        u_blocks = self.in_size ** self.k
-        w_blocks = self.side_size ** self.k
-        x_blocks = self.out_size ** self.m
+    _kind = "encoder"
+
+    def _normalize_tables(self):
         object.__setattr__(
-            self, "emit", _normalize_emit(self.emit, self.n_states, u_blocks, w_blocks, x_blocks)
+            self, "emit", _normalize_emit(self.emit, self.n_states, self.u_blocks, self.w_blocks, self.x_blocks)
         )
-        object.__setattr__(
-            self,
-            "next_state",
-            _normalize_table(self.next_state, (self.n_states, u_blocks, w_blocks), self.n_states, "next_state"),
-        )
+        self._set_table("next_state", self.u_blocks, self.n_states, "next_state")
 
     @property
     def u_blocks(self) -> int:
         return self.in_size ** self.k
 
     @property
-    def w_blocks(self) -> int:
-        return self.side_size ** self.k
-
-    @property
     def x_blocks(self) -> int:
         return self.out_size ** self.m
-
-    def with_initial_state(self, state: int) -> "StochasticEncoderSpec":
-        return replace(self, initial_state=state)
 
 
 @dataclass(frozen=True, eq=False)
 class SideInfoEncoderSpec(StochasticEncoderSpec):
     """Encoder whose tables are additionally indexed by side-information blocks."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.side_size < 2:
-            raise ValidationError("side-information encoder needs side_size >= 2")
+    _side_only = True
 
 
 @dataclass(frozen=True, eq=False)
-class DecoderSpec:
+class DecoderSpec(_FsmSpec):
     """Deterministic finite-state decoder.
 
     out_table and next_state have shape (states, y_blocks, w_blocks); entries
     of out_table are reconstruction u-block indices.
     """
 
-    k: int
-    m: int
-    in_size: int
-    out_size: int
-    n_states: int
     out_table: np.ndarray
     next_state: np.ndarray
     side_size: int = 1
     initial_state: int = 0
 
-    def __post_init__(self):
-        for name in ("k", "m", "in_size", "out_size", "n_states", "side_size"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if not 0 <= self.initial_state < self.n_states:
-            raise ValidationError(f"initial state {self.initial_state} out of range")
-        y_blocks = self.in_size ** self.m
-        w_blocks = self.side_size ** self.k
-        shape = (self.n_states, y_blocks, w_blocks)
-        object.__setattr__(
-            self, "out_table", _normalize_table(self.out_table, shape, self.out_size ** self.k, "out")
-        )
-        object.__setattr__(
-            self, "next_state", _normalize_table(self.next_state, shape, self.n_states, "next_state")
-        )
+    _kind = "decoder"
+
+    def _normalize_tables(self):
+        self._set_table("out_table", self.y_blocks, self.out_size ** self.k, "out")
+        self._set_table("next_state", self.y_blocks, self.n_states, "next_state")
 
     @property
     def y_blocks(self) -> int:
         return self.in_size ** self.m
-
-    @property
-    def w_blocks(self) -> int:
-        return self.side_size ** self.k
-
-    def with_initial_state(self, state: int) -> "DecoderSpec":
-        return replace(self, initial_state=state)
 
 
 @dataclass(frozen=True, eq=False)
 class SideInfoDecoderSpec(DecoderSpec):
     """Decoder whose tables are additionally indexed by side-information blocks."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.side_size < 2:
-            raise ValidationError("side-information decoder needs side_size >= 2")
+    _side_only = True
+
+
+# per FSM-file kind: the scalars naming its input and output alphabets, the
+# lines that belong to the other kind only, and its plain and side-information
+# spec classes
+_FSM_KINDS = {
+    "encoder": (("alpha", "beta"), ("gamma", "out"), (StochasticEncoderSpec, SideInfoEncoderSpec)),
+    "decoder": (("gamma", "alpha"), ("beta", "emit"), (DecoderSpec, SideInfoDecoderSpec)),
+}
 
 
 def _chunk_indices(seq: SymbolSequence, k: int, base: int) -> list:
@@ -350,7 +344,12 @@ def simulate_system(
     chunks = n // enc.k
     chunk_err = np.zeros(chunks)
     joint: dict = {} if collect_joint else None
-    u_idx = _chunk_indices(u, enc.k, enc.in_size)
+    if collect_joint:
+        if w is not None and len(w) != n:
+            raise ValidationError(f"side sequence length {len(w)} does not match {n}")
+        u_idx = _chunk_indices(u, enc.k, enc.in_size)
+        # w's own alphabet: a plain codec ignores w, but the joint records it
+        w_idx = [0] * chunks if w is None else _chunk_indices(w, enc.k, w.alphabet.size)
     for t in range(trials):
         rng = substream(seed, t)
         x, enc_states = encode_stream(enc, u, rng, w)
@@ -361,17 +360,16 @@ def simulate_system(
             a, b = i * enc.k, (i + 1) * enc.k
             errs = sum(1 for p, q in zip(u.data[a:b], v.data[a:b]) if p != q)
             chunk_err[i] += errs / enc.k
-            if collect_joint:
-                w_blk = 0 if w is None else block_to_index(w.data[a:b], enc.side_size)
-                key = (
-                    u_idx[i],
-                    w_blk,
-                    block_to_index(x.data[i * enc.m : (i + 1) * enc.m], enc.out_size),
-                    block_to_index(y.data[i * enc.m : (i + 1) * enc.m], dec.in_size),
-                    block_to_index(z.data[i * enc.m : (i + 1) * enc.m], triple.wiretap.out_alphabet.size),
-                    enc_states[i],
-                    dec_states[i],
-                )
+        if collect_joint:
+            for key in zip(
+                u_idx,
+                w_idx,
+                _chunk_indices(x, enc.m, enc.out_size),
+                _chunk_indices(y, enc.m, dec.in_size),
+                _chunk_indices(z, enc.m, triple.wiretap.out_alphabet.size),
+                enc_states,
+                dec_states,
+            ):
                 joint[key] = joint.get(key, 0) + 1
     chunk_err /= trials
     if collect_joint:
@@ -525,7 +523,7 @@ def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> 
 def _leak_rows(enc: StochasticEncoderSpec, leak_channel: TransitionMatrix | None) -> np.ndarray:
     """Rows of the one-letter leak channel W -> W-dot; None means W-dot = W.
 
-    Callers build its n-fold power only after the enumeration budget check.
+    Its n-fold power is built by _leak_power, after the budget checks.
     """
     side = Alphabet(enc.side_size)
     if leak_channel is None:
@@ -536,6 +534,24 @@ def _leak_rows(enc: StochasticEncoderSpec, leak_channel: TransitionMatrix | None
             f"{side.size}"
         )
     return leak_channel.rows
+
+
+def _leak_power(enc, triple: ChannelTriple, leak: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold leak channel, built only once every leakage array fits the budget.
+
+    Checks G3 first, as _enumerate_g3 does, then the power itself (w^n x
+    w-dot^n) and the (u^n, w-dot^n, z^N) joint it is contracted into.
+    """
+    u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
+    dot_total = leak.shape[1] ** n
+    for what, entries in (
+        ("joint enumeration", u_total * w_total * z_total),
+        ("n-fold leak channel", w_total * dot_total),
+        ("leaked-side joint", u_total * dot_total * z_total),
+    ):
+        if entries > ENUMERATION_BUDGET:
+            raise BudgetError(f"{what} needs {entries} entries, budget {ENUMERATION_BUDGET}")
+    return _kron_power(leak, n)
 
 
 def _leakage_report(enc, g3: np.ndarray, leak_n: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
@@ -561,7 +577,8 @@ def conditional_leakage(
     mu is the joint source/side distribution with shape (in_size^n,
     side_size^n); a 1-D mu is accepted for plain encoders. leak_channel maps
     the side alphabet to the eavesdropper's degraded view W-dot; None means
-    W-dot = W.
+    W-dot = W. Raises BudgetError, before allocating anything, when G3, the
+    n-fold leak channel or the joint with W-dot would exceed the budget.
     """
     mu_arr = np.asarray(mu, dtype=float)
     if mu_arr.ndim == 1:
@@ -571,9 +588,8 @@ def conditional_leakage(
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
     if mu_arr.min() < 0.0 or abs(float(mu_arr.sum()) - 1.0) > 1e-9:
         raise ValidationError("mu must be a joint probability distribution")
-    leak = _leak_rows(enc, leak_channel)
-    g3 = _enumerate_g3(enc, triple, n)
-    return _leakage_report(enc, g3, _kron_power(leak, n), mu_arr)
+    leak_n = _leak_power(enc, triple, _leak_rows(enc, leak_channel), n)
+    return _leakage_report(enc, _enumerate_g3(enc, triple, n), leak_n, mu_arr)
 
 
 def max_conditional_leakage(
@@ -604,8 +620,8 @@ def max_conditional_leakage(
             f"mu grid of {count} points x {cells * z_total} entries exceeds budget "
             f"{ENUMERATION_BUDGET}"
         )
+    leak_n = _leak_power(enc, triple, leak, n)
     g3 = _enumerate_g3(enc, triple, n)
-    leak_n = _kron_power(leak, n)
     best = None
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1
@@ -667,12 +683,16 @@ def load_fsm(path: str | os.PathLike):
     if not lines:
         raise ValidationError(f"{path}: empty FSM file")
     kind = lines[0]
-    if kind not in ("encoder", "decoder"):
+    if kind not in _FSM_KINDS:
         raise ValidationError(f"{path}: first line must be 'encoder' or 'decoder', got {kind!r}")
+    other_kind_lines = _FSM_KINDS[kind][1]
     scalars = {}
     emit_lines, rule_lines = [], []
     for ln in lines[1:]:
         toks = ln.split()
+        if toks[0] in other_kind_lines:
+            article = "an" if kind == "encoder" else "a"
+            raise ValidationError(f"{path}: unexpected '{toks[0]}' line in {article} {kind} file")
         if toks[0] in ("k", "m", "alpha", "beta", "gamma", "states", "init", "side"):
             if len(toks) != 2:
                 raise ValidationError(f"{path}: malformed scalar line {ln!r}")
@@ -687,20 +707,12 @@ def load_fsm(path: str | os.PathLike):
         else:
             raise ValidationError(f"{path}: unknown directive {toks[0]!r}")
     try:
-        if kind == "encoder":
-            return _build_encoder(path, scalars, emit_lines, rule_lines)
-        return _build_decoder(path, scalars, rule_lines)
+        return _build_spec(path, kind, scalars, emit_lines, rule_lines)
     except ValueError as exc:
         # ValidationError subclasses ValueError; bare ones come from int()/float()
         if str(exc).startswith(str(path)):
             raise
         raise ValidationError(f"{path}: {exc}") from None
-
-
-def _require(scalars, keys, path):
-    missing = [k for k in keys if k not in scalars]
-    if missing:
-        raise ValidationError(f"{path}: missing scalar lines {missing}")
 
 
 def _parse_state_token(tok, n_states):
@@ -712,13 +724,23 @@ def _parse_state_token(tok, n_states):
     return s
 
 
-def _build_encoder(path, scalars, emit_lines, rule_lines):
-    _require(scalars, ("k", "m", "alpha", "beta", "states", "init"), path)
+def _build_spec(path, kind, scalars, emit_lines, rule_lines):
+    """One builder for both kinds: each rule fills its table cell by cell.
+
+    Every (state, input block, side block) cell takes the first matching
+    line of each rule, the decoder's out rule before its next rule.
+    """
+    encoder = kind == "encoder"
+    (in_name, out_name), _, spec_classes = _FSM_KINDS[kind]
+    missing = [key for key in ("k", "m", in_name, out_name, "states", "init") if key not in scalars]
+    if missing:
+        raise ValidationError(f"{path}: missing scalar lines {missing}")
     k, m = scalars["k"], scalars["m"]
-    alpha, beta = scalars["alpha"], scalars["beta"]
+    a_in, a_out = scalars[in_name], scalars[out_name]
     n_states, init = scalars["states"], scalars["init"]
     side = scalars.get("side", 1)
     has_side = side > 1
+    in_len = k if encoder else m
     emit: dict = {}
     for toks in emit_lines:
         want = 4 + has_side
@@ -727,105 +749,46 @@ def _build_encoder(path, scalars, emit_lines, rule_lines):
         s = _parse_state_token(toks[0], n_states)
         if s == "*":
             raise ValidationError("wildcard not allowed in emit lines")
-        u_blk = _parse_block(toks[1], k, alpha, allow_wild=False)
+        u_blk = _parse_block(toks[1], k, a_in, allow_wild=False)
         w_blk = _parse_block(toks[2], k, side, allow_wild=False) if has_side else (0,) * k
         x_pos = 2 + has_side
-        x_blk = _parse_block(toks[x_pos], m, beta, allow_wild=False)
+        x_blk = _parse_block(toks[x_pos], m, a_out, allow_wild=False)
         prob = float(toks[x_pos + 1]) if len(toks) == want else 1.0
-        key = (s, block_to_index(u_blk, alpha), block_to_index(w_blk, max(side, 1)))
-        emit.setdefault(key, []).append((block_to_index(x_blk, beta), prob))
-    next_rules = []
+        key = (s, block_to_index(u_blk, a_in), block_to_index(w_blk, max(side, 1)))
+        emit.setdefault(key, []).append((block_to_index(x_blk, a_out), prob))
+    rules = {name: [] for name in (("next",) if encoder else ("out", "next"))}
     for name, toks in rule_lines:
-        if name != "next":
-            raise ValidationError(f"unexpected '{name}' line in an encoder file")
-        want = 3 + has_side
-        if len(toks) != want:
-            raise ValidationError(f"malformed next line {' '.join(toks)!r}")
-        s = _parse_state_token(toks[0], n_states)
-        u_blk = _parse_block(toks[1], k, alpha, allow_wild=True)
-        w_blk = _parse_block(toks[2], k, side, allow_wild=True) if has_side else ("*",) * k
-        nxt = int(toks[-1])
-        if not 0 <= nxt < n_states:
-            raise ValidationError(f"next state {nxt} outside [0, {n_states})")
-        next_rules.append((s, u_blk, w_blk, nxt))
-    u_blocks, w_blocks = alpha ** k, side ** k
-    table = np.zeros((n_states, u_blocks, w_blocks), dtype=np.int64)
-    for s in range(n_states):
-        for ui in range(u_blocks):
-            for wi in range(w_blocks):
-                hit = _first_match(next_rules, s, index_to_block(ui, alpha, k), index_to_block(wi, side, k))
-                if hit is None:
-                    raise ValidationError(
-                        f"next state undefined for (state={s}, u={index_to_block(ui, alpha, k)}, "
-                        f"w={index_to_block(wi, side, k)})"
-                    )
-                table[s, ui, wi] = hit
-    cls = SideInfoEncoderSpec if has_side else StochasticEncoderSpec
-    return cls(
-        k=k,
-        m=m,
-        in_size=alpha,
-        out_size=beta,
-        n_states=n_states,
-        emit={k2: tuple(v) for k2, v in emit.items()},
-        next_state=table,
-        side_size=side,
-        initial_state=init,
-    )
-
-
-def _build_decoder(path, scalars, rule_lines):
-    _require(scalars, ("k", "m", "gamma", "alpha", "states", "init"), path)
-    k, m = scalars["k"], scalars["m"]
-    gamma, alpha = scalars["gamma"], scalars["alpha"]
-    n_states, init = scalars["states"], scalars["init"]
-    side = scalars.get("side", 1)
-    has_side = side > 1
-    out_rules, next_rules = [], []
-    for name, toks in rule_lines:
-        want = 3 + has_side
-        if len(toks) != want:
+        if len(toks) != 3 + has_side:
             raise ValidationError(f"malformed {name} line {' '.join(toks)!r}")
         s = _parse_state_token(toks[0], n_states)
-        y_blk = _parse_block(toks[1], m, gamma, allow_wild=True)
+        blk = _parse_block(toks[1], in_len, a_in, allow_wild=True)
         w_blk = _parse_block(toks[2], k, side, allow_wild=True) if has_side else ("*",) * k
         if name == "out":
-            u_blk = _parse_block(toks[-1], k, alpha, allow_wild=False)
-            out_rules.append((s, y_blk, w_blk, block_to_index(u_blk, alpha)))
+            payload = block_to_index(_parse_block(toks[-1], k, a_out, allow_wild=False), a_out)
         else:
-            nxt = int(toks[-1])
-            if not 0 <= nxt < n_states:
-                raise ValidationError(f"next state {nxt} outside [0, {n_states})")
-            next_rules.append((s, y_blk, w_blk, nxt))
-    y_blocks, w_blocks = gamma ** m, side ** k
-    out_table = np.zeros((n_states, y_blocks, w_blocks), dtype=np.int64)
-    next_table = np.zeros((n_states, y_blocks, w_blocks), dtype=np.int64)
-    for s in range(n_states):
-        for yi in range(y_blocks):
-            for wi in range(w_blocks):
-                y_blk = index_to_block(yi, gamma, m)
-                w_blk = index_to_block(wi, side, k)
-                hit = _first_match(out_rules, s, y_blk, w_blk)
-                if hit is None:
-                    raise ValidationError(
-                        f"output undefined for (state={s}, y={y_blk}, w={w_blk})"
-                    )
-                out_table[s, yi, wi] = hit
-                nxt = _first_match(next_rules, s, y_blk, w_blk)
-                if nxt is None:
-                    raise ValidationError(
-                        f"next state undefined for (state={s}, y={y_blk}, w={w_blk})"
-                    )
-                next_table[s, yi, wi] = nxt
-    cls = SideInfoDecoderSpec if has_side else DecoderSpec
-    return cls(
+            payload = int(toks[-1])
+            if not 0 <= payload < n_states:
+                raise ValidationError(f"next state {payload} outside [0, {n_states})")
+        rules[name].append((s, blk, w_blk, payload))
+    in_blocks, w_blocks = a_in ** in_len, side ** k
+    tables = {name: np.zeros((n_states, in_blocks, w_blocks), dtype=np.int64) for name in rules}
+    for s, bi, wi in itertools.product(range(n_states), range(in_blocks), range(w_blocks)):
+        blk, w_blk = index_to_block(bi, a_in, in_len), index_to_block(wi, side, k)
+        for name, table in tables.items():
+            hit = _first_match(rules[name], s, blk, w_blk)
+            if hit is None:
+                what = "output" if name == "out" else "next state"
+                raise ValidationError(f"{what} undefined for (state={s}, {'u' if encoder else 'y'}={blk}, w={w_blk})")
+            table[s, bi, wi] = hit
+    first = {"emit": {k2: tuple(v) for k2, v in emit.items()}} if encoder else {"out_table": tables["out"]}
+    return spec_classes[has_side](
         k=k,
         m=m,
-        in_size=gamma,
-        out_size=alpha,
+        in_size=a_in,
+        out_size=a_out,
         n_states=n_states,
-        out_table=out_table,
-        next_state=next_table,
+        **first,
+        next_state=tables["next"],
         side_size=side,
         initial_state=init,
     )
@@ -833,59 +796,39 @@ def _build_decoder(path, scalars, rule_lines):
 
 def dump_fsm(spec, path: str | os.PathLike) -> None:
     """Write a spec back out with fully concrete lines."""
-    lines = []
-    has_side = spec.side_size > 1
-    if isinstance(spec, StochasticEncoderSpec):
-        lines += [
-            "encoder",
-            f"k {spec.k}",
-            f"m {spec.m}",
-            f"alpha {spec.in_size}",
-            f"beta {spec.out_size}",
-            f"states {spec.n_states}",
-            f"init {spec.initial_state}",
-        ]
-        if has_side:
-            lines.append(f"side {spec.side_size}")
-        for (s, ui, wi), dist in sorted(spec.emit.items()):
-            u_tok = ",".join(str(v) for v in index_to_block(ui, spec.in_size, spec.k))
-            w_tok = ",".join(str(v) for v in index_to_block(wi, spec.side_size, spec.k))
-            for x, p in dist:
-                x_tok = ",".join(str(v) for v in index_to_block(x, spec.out_size, spec.m))
-                parts = ["emit", str(s), u_tok] + ([w_tok] if has_side else []) + [x_tok, f"{p:.17g}"]
-                lines.append(" ".join(parts))
-        for s in range(spec.n_states):
-            for ui in range(spec.u_blocks):
-                for wi in range(spec.w_blocks):
-                    u_tok = ",".join(str(v) for v in index_to_block(ui, spec.in_size, spec.k))
-                    w_tok = ",".join(str(v) for v in index_to_block(wi, spec.side_size, spec.k))
-                    parts = ["next", str(s), u_tok] + ([w_tok] if has_side else [])
-                    parts.append(str(int(spec.next_state[s, ui, wi])))
-                    lines.append(" ".join(parts))
-    elif isinstance(spec, DecoderSpec):
-        lines += [
-            "decoder",
-            f"k {spec.k}",
-            f"m {spec.m}",
-            f"gamma {spec.in_size}",
-            f"alpha {spec.out_size}",
-            f"states {spec.n_states}",
-            f"init {spec.initial_state}",
-        ]
-        if has_side:
-            lines.append(f"side {spec.side_size}")
-        for s in range(spec.n_states):
-            for yi in range(spec.y_blocks):
-                for wi in range(spec.w_blocks):
-                    y_tok = ",".join(str(v) for v in index_to_block(yi, spec.in_size, spec.m))
-                    w_tok = ",".join(str(v) for v in index_to_block(wi, spec.side_size, spec.k))
-                    u_tok = ",".join(str(v) for v in index_to_block(int(spec.out_table[s, yi, wi]), spec.out_size, spec.k))
-                    parts = ["out", str(s), y_tok] + ([w_tok] if has_side else []) + [u_tok]
-                    lines.append(" ".join(parts))
-                    parts = ["next", str(s), y_tok] + ([w_tok] if has_side else [])
-                    parts.append(str(int(spec.next_state[s, yi, wi])))
-                    lines.append(" ".join(parts))
-    else:
+    if not isinstance(spec, _FsmSpec):
         raise ValidationError(f"cannot serialize object of type {type(spec).__name__}")
+    has_side = spec.side_size > 1
+    in_name, out_name = _FSM_KINDS[spec._kind][0]
+    lines = [
+        spec._kind,
+        f"k {spec.k}",
+        f"m {spec.m}",
+        f"{in_name} {spec.in_size}",
+        f"{out_name} {spec.out_size}",
+        f"states {spec.n_states}",
+        f"init {spec.initial_state}",
+    ]
+    if has_side:
+        lines.append(f"side {spec.side_size}")
+
+    def tok(idx, base, length):
+        return ",".join(str(v) for v in index_to_block(idx, base, length))
+
+    w_toks = [[tok(wi, spec.side_size, spec.k)] if has_side else [] for wi in range(spec.w_blocks)]
+    if isinstance(spec, StochasticEncoderSpec):
+        for (s, ui, wi), dist in sorted(spec.emit.items()):
+            head = ["emit", str(s), tok(ui, spec.in_size, spec.k)] + w_toks[wi]
+            for x, p in dist:
+                lines.append(" ".join(head + [tok(x, spec.out_size, spec.m), f"{p:.17g}"]))
+        in_len, tables = spec.k, [("next", spec.next_state, spec.n_states, 1)]
+    else:
+        in_len = spec.m
+        tables = [("out", spec.out_table, spec.out_size, spec.k), ("next", spec.next_state, spec.n_states, 1)]
+    # one line per table and cell; a next state is written as a one-symbol block
+    for s, bi, wi in itertools.product(range(spec.n_states), range(spec.in_size ** in_len), range(spec.w_blocks)):
+        head = [str(s), tok(bi, spec.in_size, in_len)] + w_toks[wi]
+        for name, table, base, length in tables:
+            lines.append(" ".join([name] + head + [tok(int(table[s, bi, wi]), base, length)]))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -187,6 +187,15 @@ def test_theorem1_validation():
         theorem1_bound(u, BoundParams(k=1, m=1), c_s=0.5, n=8)
 
 
+@pytest.mark.parametrize("n, message", [(8.0, "got 8.0"), (-4, "n must be an integer >= 2, got -4")])
+def test_theorems_check_n_before_prefix(n, message):
+    u = sequence_from_array([0, 1] * 8, 2)
+    with pytest.raises(ValidationError, match=message):
+        theorem1_bound(u, BoundParams(k=1, m=1), c_s=0.5, n=n)
+    with pytest.raises(ValidationError, match=message):
+        theorem3_bound(u, u, BoundParams(k=1, m=1, omega=2), c_s=0.5, n=n)
+
+
 def test_theorem2_formula():
     params = BoundParams(k=2, m=3, q_e=4, eps_s=0.01)
     v = theorem2_bound(params, ell=2, i_xz_star=0.25)

@@ -454,6 +454,28 @@ def test_conditional_leakage_checks_budget_before_leak_power():
         fc.conditional_leakage(enc, triple, channel_from_rows([[1.0]] * 3), 9, mu)
 
 
+def test_leak_arrays_checked_before_allocating():
+    # G3 has 2^4 * 2^4 * 2^4 entries, but W-dot^4 of a 2 -> 20 leak channel
+    # makes the joint with W-dot 2^4 * 20^4 * 2^4 entries (41 M, 330 MB)
+    enc = _random_encoder(8, 1, 1, 2, 2)
+    triple = ChannelTriple(bsc(0.1), bsc(0.2))
+    wide = channel_from_rows(np.full((2, 20), 0.05))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="leaked-side joint needs 40960000 entries"):
+            fc.conditional_leakage(enc, triple, wide, 4, np.full((16, 16), 1.0 / 256))
+        # 136 grid points of 2^2 * 2^2 * 2^2 entries; the joint with W-dot^2
+        # of a 2 -> 1100 leak channel has 2^2 * 1100^2 * 2^2 entries
+        with pytest.raises(BudgetError, match="leaked-side joint needs 19360000 entries"):
+            fc.max_conditional_leakage(enc, triple, channel_from_rows(np.full((2, 1100), 1 / 1100)), 2, 0.5)
+        with pytest.raises(BudgetError, match="n-fold leak channel needs 17640000 entries"):
+            fc.conditional_leakage(enc, triple, channel_from_rows(np.full((2, 2100), 1 / 2100)), 2, np.full((4, 4), 1 / 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def _max_leakage_per_point(enc, triple, leak, n, grid_step):
     # the grid loop before G3 was hoisted: one full conditional_leakage per point
     cells = (enc.in_size ** n) * (enc.side_size ** n)

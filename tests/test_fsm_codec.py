@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secwire.channels import ChannelTriple, bsc, channel_from_rows, identity_channel
+from secwire.channels import ChannelTriple, bsc, channel_from_rows, identity_channel, sample
 from secwire.errors import BudgetError, ValidationError
 from secwire.fsm_codec import (
     DecoderSpec,
@@ -25,6 +29,7 @@ from secwire.fsm_codec import (
     sweep_initial_states,
 )
 from secwire.info_measures import channel_capacity
+from secwire.rand import substream
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
 
 
@@ -226,6 +231,55 @@ def test_simulate_deterministic_and_seed_sensitive():
     assert a.per_chunk_error != c.per_chunk_error
 
 
+def _reference_joint(enc, dec, triple, u, trials, seed, w):
+    # per-chunk block_to_index slices, with w indexed in its own alphabet
+    joint = {}
+    for t in range(trials):
+        rng = substream(seed, t)
+        x, enc_states = encode_stream(enc, u, rng, w)
+        y = sample(triple.main, x, rng)
+        z = sample(triple.wiretap, y, rng)
+        _, dec_states = decode_stream(dec, y, w)
+        for i in range(len(u) // enc.k):
+            a, b = i * enc.k, (i + 1) * enc.k
+            c, d = i * enc.m, (i + 1) * enc.m
+            key = (
+                block_to_index(u.data[a:b], enc.in_size),
+                0 if w is None else block_to_index(w.data[a:b], w.alphabet.size),
+                block_to_index(x.data[c:d], enc.out_size),
+                block_to_index(y.data[c:d], dec.in_size),
+                block_to_index(z.data[c:d], triple.wiretap.out_alphabet.size),
+                enc_states[i],
+                dec_states[i],
+            )
+            joint[key] = joint.get(key, 0) + 1
+    total = trials * (len(u) // enc.k)
+    return {k: v / total for k, v in sorted(joint.items())}
+
+
+def test_simulate_joint_records_side_blocks():
+    triple = ChannelTriple(bsc(0.1), bsc(0.2))
+    u = sequence_from_array([0, 1, 1, 0], 2)
+    w = sequence_from_array([1, 0, 1, 0], 2)
+    side_dec = SideInfoDecoderSpec(
+        k=1, m=1, in_size=2, out_size=2, n_states=1,
+        out_table=np.array([[[0, 0], [1, 1]]]), next_state=np.zeros((1, 2, 2), dtype=int), side_size=2,
+    )
+    rng = np.random.default_rng(70)
+    side_enc = _random_encoder(rng, n_states=2, side_size=2, ignore_side=False)
+    # a plain encoder with a side decoder, and a side encoder with a plain decoder
+    for enc, dec in ((_identity_encoder(), side_dec), (side_enc, _identity_decoder())):
+        stats = simulate_system(enc, dec, triple, u, trials=40, seed=5, w=w, collect_joint=True)
+        assert stats.empirical_joint == _reference_joint(enc, dec, triple, u, 40, 5, w)
+        assert {key[1] for key in stats.empirical_joint} == {0, 1}
+        plain = simulate_system(enc, dec, triple, u, trials=40, seed=5, w=w)
+        assert plain.per_chunk_error == stats.per_chunk_error
+    with pytest.raises(ValidationError, match="side sequence length 3"):
+        simulate_system(
+            _identity_encoder(), _identity_decoder(), triple, u, trials=1, seed=5, w=w.prefix(3), collect_joint=True
+        )
+
+
 def test_sweep_initial_states_covers_all_pairs():
     triple = ChannelTriple(bsc(0.05), bsc(0.05))
     u = sequence_from_array([0, 1, 1, 0], 2)
@@ -381,6 +435,28 @@ def test_fsm_load_errors(tmp_path):
         with pytest.raises(ValidationError) as err:
             load_fsm(path)
         assert str(path) in str(err.value)
+    other_kind = {
+        "emit_in_decoder": (
+            "decoder\nk 1\nm 1\ngamma 2\nalpha 2\nstates 1\ninit 0\n"
+            "emit 0 0 0 0.5\nout * * 0\nnext * * 0\n",
+            "unexpected 'emit' line in a decoder file",
+        ),
+        "beta_in_decoder": (
+            "decoder\nk 1\nm 1\ngamma 2\nalpha 2\nbeta 7\nstates 1\ninit 0\nout * * 0\nnext * * 0\n",
+            "unexpected 'beta' line in a decoder file",
+        ),
+        "gamma_in_encoder": (
+            "encoder\nk 1\nm 1\nalpha 2\nbeta 2\ngamma 2\nstates 1\ninit 0\n"
+            "emit 0 0 0\nemit 0 1 1\nnext 0 * 0\n",
+            "unexpected 'gamma' line in an encoder file",
+        ),
+    }
+    for name, (text, message) in other_kind.items():
+        path = tmp_path / f"{name}.fsm"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load_fsm(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 def test_fsm_comments_and_implicit_prob(tmp_path):
@@ -391,3 +467,137 @@ def test_fsm_comments_and_implicit_prob(tmp_path):
     )
     enc = load_fsm(path)
     assert enc.emit[(0, 0, 0)] == ((0, 1.0),)
+
+
+_ENC = "encoder\nk 1\nm 1\nalpha 2\nbeta 2\nstates 2\ninit 0\n"
+_ENC_EMITS = "emit 0 0 0\nemit 0 1 1\nemit 1 0 1\nemit 1 1 0\n"
+_DEC = "decoder\nk 1\nm 2\ngamma 2\nalpha 2\nstates 1\ninit 0\n"
+_SIDE_DEC = "decoder\nk 1\nm 1\ngamma 2\nalpha 2\nstates 1\ninit 0\nside 2\n"
+
+# load_fsm messages, less the "<path>: " prefix, for both kinds of file:
+# one per check the loader and the spec classes make, in their order
+GOLDEN_LOAD_ERRORS = {
+    "empty": ("# nothing here\n", "empty FSM file"),
+    "header": ("bogus\nk 1\n", "first line must be 'encoder' or 'decoder', got 'bogus'"),
+    "scalar_arity": (_ENC + "side 2 3\n", "malformed scalar line 'side 2 3'"),
+    "scalar_value": ("encoder\nk one\n", "non-integer value in 'k one'"),
+    "directive": ("encoder\nk 1\nzap 2\n", "unknown directive 'zap'"),
+    "missing_enc": ("encoder\nk 1\nm 1\nalpha 2\nstates 1\n", "missing scalar lines ['beta', 'init']"),
+    "missing_dec": ("decoder\nk 1\nm 1\nstates 1\ninit 0\n", "missing scalar lines ['gamma', 'alpha']"),
+    "emit_arity": (_ENC + "emit 0 0\n", "malformed emit line '0 0'"),
+    "emit_wild_state": (_ENC + "emit * 0 0\n", "wildcard not allowed in emit lines"),
+    "emit_wild_block": (_ENC + "emit 0 * 0\n", "wildcard not allowed in emit lines"),
+    "emit_symbol": (_ENC + "emit 0 2 0\n", "symbol 2 outside alphabet of size 2"),
+    "emit_bad_symbol": (_ENC + "emit 0 x 0\n", "bad symbol 'x' in block 'x'"),
+    "emit_prob": (_ENC + "emit 0 0 0 abc\n", "could not convert string to float: 'abc'"),
+    "emit_state": (_ENC + "emit 5 0 0\n", "state 5 outside [0, 2)"),
+    "block_length": (_ENC.replace("k 1", "k 2") + "emit 0 0 0 1.0\n", "block '0' has 1 symbols, expected 2"),
+    "state_token": (_ENC + _ENC_EMITS + "next x * 0\n", "invalid literal for int() with base 10: 'x'"),
+    "next_arity": (_ENC + _ENC_EMITS + "next 0 0\n", "malformed next line '0 0'"),
+    "next_range": (_ENC + _ENC_EMITS + "next 0 * 7\n", "next state 7 outside [0, 2)"),
+    "next_value": (_ENC + _ENC_EMITS + "next 0 * one\n", "invalid literal for int() with base 10: 'one'"),
+    "out_in_encoder": (
+        _ENC + _ENC_EMITS + "next * * 0\nout 0 0 0\n",
+        "unexpected 'out' line in an encoder file",
+    ),
+    "next_coverage": (
+        _ENC + _ENC_EMITS + "next 0 0 1\nnext 1 * 0\n",
+        "next state undefined for (state=0, u=(1,), w=(0,))",
+    ),
+    "emit_coverage": (_ENC + "emit 0 0 0\nnext * * 0\n", "emission undefined for (state=0, u=1, w=0)"),
+    "emit_sum": (
+        _ENC + "emit 0 0 0 0.7\nemit 0 1 1\nemit 1 0 1\nemit 1 1 0\nnext * * 0\n",
+        "emission for key (0, 0, 0) sums to 0.7",
+    ),
+    "emit_duplicate": (
+        _ENC + _ENC_EMITS + "emit 0 0 0\nnext * * 0\n",
+        "duplicate emission target 0 for key (0, 0, 0)",
+    ),
+    "emit_negative": (
+        _ENC + "emit 0 0 0 -0.5\nemit 0 0 1 1.5\nemit 0 1 1\nemit 1 0 1\nemit 1 1 0\nnext * * 0\n",
+        "negative emission probability -0.5 for key (0, 0, 0)",
+    ),
+    "init_range": (_ENC.replace("init 0", "init 5") + _ENC_EMITS + "next * * 0\n", "initial state 5 out of range"),
+    "no_states": (_ENC.replace("states 2", "states 0") + "next * * 0\n", "next state 0 outside [0, 0)"),
+    "side_enc_arity": (_ENC + "side 2\nnext 0 0 0\n", "malformed next line '0 0 0'"),
+    "side_enc_symbol": (_ENC + "side 2\nemit 0 0 2 0\n", "symbol 2 outside alphabet of size 2"),
+    "dec_out_first": (_DEC + "next * * 0\n", "output undefined for (state=0, y=(0, 0), w=(0,))"),
+    "dec_next": (_DEC + "out * * 0\n", "next state undefined for (state=0, y=(0, 0), w=(0,))"),
+    "dec_out_wild": (_DEC + "out 0 *,* *\n", "wildcard not allowed in emit lines"),
+    "dec_out_arity": (_DEC + "out 0 0,0\n", "malformed out line '0 0,0'"),
+    "dec_block": (_DEC + "out 0 0 0\n", "block '0' has 1 symbols, expected 2"),
+    "dec_partial": (_DEC + "out * 0,* 1\nnext * * 0\n", "output undefined for (state=0, y=(1, 0), w=(0,))"),
+    "dec_out_symbol": (_DEC + "out * * 2\n", "symbol 2 outside alphabet of size 2"),
+    "side_dec_coverage": (
+        _SIDE_DEC + "out * * * 0\nnext * * 0 0\n",
+        "next state undefined for (state=0, y=(0,), w=(1,))",
+    ),
+    "side_dec_arity": (_SIDE_DEC + "out * * 0\n", "malformed out line '* * 0'"),
+    "side_dec_symbol": (_SIDE_DEC + "out * * 3 0\n", "symbol 3 outside alphabet of size 2"),
+    "dec_scalar": (_DEC.replace("m 2", "m 0") + "out * * 0\nnext * * 0\n", "m must be a positive integer, got 0"),
+}
+
+
+def test_fsm_load_error_messages_golden(tmp_path):
+    got, want = {}, {}
+    for name, (text, message) in GOLDEN_LOAD_ERRORS.items():
+        path = tmp_path / f"{name}.fsm"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load_fsm(path)
+        got[name], want[name] = str(err.value), f"{path}: {message}"
+    assert got == want
+
+
+def _random_spec(rng, encoder, k, m, in_size, out_size, n_states, side_size):
+    shape = (n_states, in_size ** (k if encoder else m), side_size ** k)
+    cls = {
+        (True, False): StochasticEncoderSpec,
+        (True, True): SideInfoEncoderSpec,
+        (False, False): DecoderSpec,
+        (False, True): SideInfoDecoderSpec,
+    }[encoder, side_size > 1]
+    common = dict(
+        k=k, m=m, in_size=in_size, out_size=out_size, n_states=n_states,
+        next_state=rng.integers(0, n_states, shape), side_size=side_size,
+        initial_state=int(rng.integers(n_states)),
+    )
+    if not encoder:
+        return cls(out_table=rng.integers(0, out_size ** k, shape), **common)
+    emit = {}
+    for key in itertools.product(*map(range, shape)):
+        p = rng.random(out_size ** m)
+        p[rng.random(p.size) < 0.3] = 0.0
+        p[int(rng.integers(p.size))] += 0.1
+        emit[key] = [(x, float(v)) for x, v in enumerate(p / p.sum()) if v > 0.0]
+    return cls(emit=emit, **common)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    encoder=st.booleans(),
+    k=st.sampled_from([1, 2]),
+    m=st.sampled_from([1, 2]),
+    in_size=st.integers(2, 3),
+    out_size=st.integers(2, 3),
+    n_states=st.integers(1, 3),
+    side_size=st.integers(1, 3),
+)
+def test_fsm_dump_load_round_trip_property(seed, encoder, k, m, in_size, out_size, n_states, side_size):
+    spec = _random_spec(np.random.default_rng(seed), encoder, k, m, in_size, out_size, n_states, side_size)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "first.fsm"), os.path.join(tmp, "second.fsm")
+        dump_fsm(spec, first)
+        back = load_fsm(first)
+        dump_fsm(back, second)
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+    assert type(back) is type(spec)
+    fields = ("k", "m", "in_size", "out_size", "n_states", "side_size", "initial_state")
+    assert [getattr(back, f) for f in fields] == [getattr(spec, f) for f in fields]
+    assert np.array_equal(back.next_state, spec.next_state)
+    if encoder:
+        assert back.emit == spec.emit
+    else:
+        assert np.array_equal(back.out_table, spec.out_table)
