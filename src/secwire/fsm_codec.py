@@ -109,6 +109,19 @@ def _normalize_emit(emit, n_states, u_blocks, w_blocks, x_blocks):
     return table
 
 
+_SCALARS = ("k", "m", "in_size", "out_size", "n_states", "side_size")
+
+
+def _check_scalars(values: dict, initial_state) -> None:
+    """A spec's scalar checks: every entry of _SCALARS a positive integer, initial_state in range."""
+    for name in _SCALARS:
+        v = values[name]
+        if not isinstance(v, int) or v < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {v!r}")
+    if not 0 <= initial_state < values["n_states"]:
+        raise ValidationError(f"initial state {initial_state} out of range")
+
+
 @dataclass(frozen=True, eq=False)
 class _FsmSpec:
     """Scalars, checks and helpers shared by encoder and decoder specs.
@@ -127,12 +140,7 @@ class _FsmSpec:
     _side_only = False
 
     def __post_init__(self):
-        for name in ("k", "m", "in_size", "out_size", "n_states", "side_size"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {v!r}")
-        if not 0 <= self.initial_state < self.n_states:
-            raise ValidationError(f"initial state {self.initial_state} out of range")
+        _check_scalars({name: getattr(self, name) for name in _SCALARS}, self.initial_state)
         self._normalize_tables()
         if self._side_only and self.side_size < 2:
             raise ValidationError(f"side-information {self._kind} needs side_size >= 2")
@@ -632,10 +640,11 @@ def max_conditional_leakage(
     return best
 
 
-def _parse_block(token: str, length: int, base: int, allow_wild: bool):
+def _parse_block(token: str, length: int, base: int, wild_error: str | None = None):
+    # wild_error, when given, is the message for a wildcard in this block
     if token == "*":
-        if not allow_wild:
-            raise ValidationError("wildcard not allowed in emit lines")
+        if wild_error is not None:
+            raise ValidationError(wild_error)
         return ("*",) * length
     parts = token.split(",")
     if len(parts) != length:
@@ -643,8 +652,8 @@ def _parse_block(token: str, length: int, base: int, allow_wild: bool):
     out = []
     for p in parts:
         if p == "*":
-            if not allow_wild:
-                raise ValidationError("wildcard not allowed in emit lines")
+            if wild_error is not None:
+                raise ValidationError(wild_error)
             out.append("*")
         else:
             try:
@@ -724,6 +733,9 @@ def _parse_state_token(tok, n_states):
     return s
 
 
+_EMIT_WILD = "wildcard not allowed in emit lines"
+
+
 def _build_spec(path, kind, scalars, emit_lines, rule_lines):
     """One builder for both kinds: each rule fills its table cell by cell.
 
@@ -739,6 +751,8 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
     a_in, a_out = scalars[in_name], scalars[out_name]
     n_states, init = scalars["states"], scalars["init"]
     side = scalars.get("side", 1)
+    # the spec's own checks, before any line is parsed or table allocated
+    _check_scalars(dict(k=k, m=m, in_size=a_in, out_size=a_out, n_states=n_states, side_size=side), init)
     has_side = side > 1
     in_len = k if encoder else m
     emit: dict = {}
@@ -748,11 +762,11 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
             raise ValidationError(f"malformed emit line {' '.join(toks)!r}")
         s = _parse_state_token(toks[0], n_states)
         if s == "*":
-            raise ValidationError("wildcard not allowed in emit lines")
-        u_blk = _parse_block(toks[1], k, a_in, allow_wild=False)
-        w_blk = _parse_block(toks[2], k, side, allow_wild=False) if has_side else (0,) * k
+            raise ValidationError(_EMIT_WILD)
+        u_blk = _parse_block(toks[1], k, a_in, _EMIT_WILD)
+        w_blk = _parse_block(toks[2], k, side, _EMIT_WILD) if has_side else (0,) * k
         x_pos = 2 + has_side
-        x_blk = _parse_block(toks[x_pos], m, a_out, allow_wild=False)
+        x_blk = _parse_block(toks[x_pos], m, a_out, _EMIT_WILD)
         prob = float(toks[x_pos + 1]) if len(toks) == want else 1.0
         key = (s, block_to_index(u_blk, a_in), block_to_index(w_blk, max(side, 1)))
         emit.setdefault(key, []).append((block_to_index(x_blk, a_out), prob))
@@ -761,10 +775,11 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
         if len(toks) != 3 + has_side:
             raise ValidationError(f"malformed {name} line {' '.join(toks)!r}")
         s = _parse_state_token(toks[0], n_states)
-        blk = _parse_block(toks[1], in_len, a_in, allow_wild=True)
-        w_blk = _parse_block(toks[2], k, side, allow_wild=True) if has_side else ("*",) * k
+        blk = _parse_block(toks[1], in_len, a_in)
+        w_blk = _parse_block(toks[2], k, side) if has_side else ("*",) * k
         if name == "out":
-            payload = block_to_index(_parse_block(toks[-1], k, a_out, allow_wild=False), a_out)
+            out_wild = "wildcard not allowed in the output block of an out line"
+            payload = block_to_index(_parse_block(toks[-1], k, a_out, out_wild), a_out)
         else:
             payload = int(toks[-1])
             if not 0 <= payload < n_states:

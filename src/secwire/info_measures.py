@@ -16,6 +16,18 @@ toward the capacity-achieving input until feasible, its binary interval and
 every line search are clipped by bisection to the feasible set, and it also
 searches toward the capacity-achieving input. Its gap stays the
 unconstrained one, which still bounds the constrained suboptimality.
+
+The multistarts run in lock step. The golden-section search and the
+bisection are coroutines that yield the points they need; each round of the
+ascent collects the line searches of every running start and direction, and
+_lockstep drives them together, evaluating the pending points of all of them
+in one stacked call (_mi_rows) per step. gamma's bisections (every start
+mixed toward the capacity-achieving input, every direction's t_max) run the
+same way. Each start keeps its own iterate, iteration count and stopping
+rules, and _mi_rows reproduces the one-law computation bit for bit, so every
+result equals that of running the starts one after another. A bisection
+stops once its midpoint rounds to one of its ends, after which further steps
+could not move its result.
 """
 
 from __future__ import annotations
@@ -80,16 +92,42 @@ def mutual_information(p, ch: TransitionMatrix) -> float:
     return _mi_raw(arr, ch.rows)
 
 
-def _row_entropies(rows: np.ndarray) -> list:
-    """H(Y | X = x) for every row, as _mi_raw would compute it."""
-    return [_entropy_raw(row) for row in rows]
+def _row_entropies(rows: np.ndarray) -> np.ndarray:
+    """Entropy of every row of a 2-D array, each bit for bit _entropy_raw(row).
+
+    Zero entries enter as 0 terms. Below 8 entries numpy sums a row from left
+    to right, where a 0 term changes nothing; wider rows are summed pairwise,
+    so a wider row with a zero entry is summed without it, as _entropy_raw does.
+    """
+    h = -np.add.reduce(rows * np.log2(np.where(rows > 0.0, rows, 1.0)), axis=1)
+    if rows.shape[1] >= 8:
+        for i in np.flatnonzero((rows <= 0.0).any(axis=1)):
+            h[i] = _entropy_raw(rows[i])
+    return h
+
+
+def _mi_rows(p: np.ndarray, rows: np.ndarray, row_ent: np.ndarray) -> np.ndarray:
+    """I(X;Y) = H(Y) - H(Y|X) for every input law along the last axis of p.
+
+    row_ent must be _row_entropies(rows). Each value equals, bit for bit, the
+    one-law computation: np.matmul on a stack of (1, n) rows runs one gemv
+    per law, as p @ rows does for a 1-D p (a 2-D p @ rows goes through gemm,
+    which can round differently), and H(Y|X) is accumulated in row order.
+    """
+    flat = p.reshape(-1, p.shape[-1])
+    q = np.matmul(flat[:, None, :], rows)[:, 0, :]
+    # + 0.0: a sum of zero terms is +0.0, as a loop starting from 0.0 gives
+    h_cond = np.add.accumulate(flat * row_ent, axis=1)[:, -1] + 0.0
+    mi = _row_entropies(q) - h_cond
+    return np.where(mi < 0.0, 0.0, mi).reshape(p.shape[:-1])
 
 
 def _mi_raw(p: np.ndarray, rows: np.ndarray, row_ent: list | None = None) -> float:
-    # row_ent, when given, must be _row_entropies(rows); solvers pass it so
-    # the input-independent row entropies are computed once per call
+    # one law, the same bits as _mi_rows at a fraction of its per-call cost;
+    # row_ent, when given, must be _row_entropies(rows).tolist(), which
+    # solvers compute once per call
     if row_ent is None:
-        row_ent = _row_entropies(rows)
+        row_ent = _row_entropies(rows).tolist()
     q = p @ rows
     h_cond = 0.0
     for px, h in zip(p.tolist(), row_ent):
@@ -99,12 +137,18 @@ def _mi_raw(p: np.ndarray, rows: np.ndarray, row_ent: list | None = None) -> flo
 
 
 def _secrecy_objective(triple: ChannelTriple):
-    """p -> I(X;Y) - I(X;Z), with both channels' row entropies computed once."""
+    """p -> I(X;Y) - I(X;Z) for one law or along the last axis of a stack of laws.
+
+    Both channels' row entropies are computed once.
+    """
     main, casc = triple.main.rows, triple.cascade.rows
     ent_m, ent_c = _row_entropies(main), _row_entropies(casc)
+    list_m, list_c = ent_m.tolist(), ent_c.tolist()
 
     def value(p):
-        return _mi_raw(p, main, ent_m) - _mi_raw(p, casc, ent_c)
+        if p.ndim == 1:
+            return _mi_raw(p, main, list_m) - _mi_raw(p, casc, list_c)
+        return _mi_rows(p, main, ent_m) - _mi_rows(p, casc, ent_c)
 
     return value
 
@@ -200,26 +244,89 @@ def channel_capacity(ch: TransitionMatrix, tol: float = 1e-9, max_iter: int = 20
     return CapacityResult(value=lb, argmax=p_best, iterations=it, certified_gap=max(gap, 0.0))
 
 
-def _golden_max(fun, lo: float, hi: float, rtol: float = 1e-13, max_iter: int = 200):
-    """Golden-section maximization of a concave function on [lo, hi]."""
+def _golden_max(lo: float, hi: float, rtol: float = 1e-13, max_iter: int = 200):
+    """Golden-section maximization of a concave function on [lo, hi], as a coroutine.
+
+    Yields each point at which it needs the function and must be sent the
+    value there (see _run and _lockstep); returns (t, f(t)) for the best of
+    its final four points.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, f2 = fun(x1), fun(x2)
+    f1 = yield x1
+    f2 = yield x2
     for _ in range(max_iter):
         if b - a <= rtol * max(1.0, abs(a) + abs(b)):
             break
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
-            f2 = fun(x2)
+            f2 = yield x2
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
-            f1 = fun(x1)
-    xs = [(a, fun(a)), (x1, f1), (x2, f2), (b, fun(b))]
+            f1 = yield x1
+    fa = yield a
+    fb = yield b
+    xs = [(a, fa), (x1, f1), (x2, f2), (b, fb)]
     return max(xs, key=lambda t: t[1])
+
+
+def _feasible_boundary(inner: float, outer: float):
+    """Farthest point from inner toward outer at which pred still holds, as a coroutine.
+
+    Yields each point at which it needs pred and must be sent whether pred
+    holds there. pred(inner) holds and pred holds on an interval around
+    inner (a rate constraint along a segment, where I(X;Y) is concave); up
+    to 100 bisections. It stops once the midpoint rounds to inner or outer:
+    pred fails at outer, so from then on no bisection could move inner.
+    """
+    if (yield outer):
+        return outer
+    for _ in range(100):
+        mid = 0.5 * (inner + outer)
+        if mid == inner or mid == outer:
+            break
+        if (yield mid):
+            inner = mid
+        else:
+            outer = mid
+    return inner
+
+
+def _run(search, fun):
+    """Drive one search coroutine with fun, called on each point it yields."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _lockstep(searches: list, fun) -> list:
+    """Drive search coroutines in lock step and return their results in order.
+
+    fun maps an array holding one point per search to an array of values.
+    Each step evaluates the pending points of all unfinished searches in one
+    call; the last points of finished searches ride along and are ignored.
+    """
+    points = [next(s) for s in searches]
+    results = [None] * len(searches)
+    running = list(range(len(searches)))
+    while running:
+        values = fun(np.array(points)).tolist()
+        still = []
+        for i in running:
+            try:
+                points[i] = searches[i].send(values[i])
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        running = still
+    return results
 
 
 def _secrecy_slopes(p: np.ndarray, triple: ChannelTriple, neg_ent_m: np.ndarray, neg_ent_c: np.ndarray) -> np.ndarray:
@@ -259,54 +366,91 @@ def _cg_directions(p: np.ndarray, j_plus: int, j_minus: int):
     yield direction, 1.0
 
 
-def _ascent(triple: ChannelTriple, interval, starts, directions, tol: float, max_iter: int) -> CapacityResult:
+def _ascent(triple: ChannelTriple, tol: float, max_iter: int, feasible=None, p_cap=None) -> CapacityResult:
     """Maximize I(X;Y) - I(X;Z); certified_gap is the FW gap at the returned point.
 
-    Binary inputs take one golden-section search over p[0] in interval() and
+    Binary inputs take one golden-section search over p[0] in [0, 1] and
     report 300 iterations. Larger alphabets run a conditional-gradient ascent
-    from every point of starts(): each step line-searches every
-    (direction, t_max) pair that directions(p, j_plus, j_minus) yields over
-    [0, t_max] (pairs with t_max <= 0 are skipped) and moves to the best
-    point, stopping when the gap is within tol, no step improves, or after
-    max_iter steps. The best start's end point is returned.
+    from every point of _simplex_starts, all starts in lock step: in each
+    round every running start line-searches each (direction, t_max) pair of
+    _cg_directions over [0, t_max] (pairs with t_max <= 0 are skipped), the
+    searches of all starts driven together by _lockstep, and moves to its
+    best point. A start stops when its gap is within tol, no step improves,
+    or after max_iter steps; the best end point, first in start order, is
+    returned.
+
+    gamma passes feasible, a test of I(X;Y) >= R along the last axis of its
+    argument, and p_cap, the capacity-achieving input: the binary interval,
+    every start and every t_max are then cut back by bisection to the
+    feasible set, and each start also searches toward p_cap.
     """
     neg_ent_m = _neg_row_entropies(triple.main.rows)
     neg_ent_c = _neg_row_entropies(triple.cascade.rows)
     value = _secrecy_objective(triple)
+    n = triple.main.in_alphabet.size
 
-    if triple.main.in_alphabet.size == 2:
-        lo, hi = interval()
-        t, fval = _golden_max(lambda t: value(np.array([t, 1.0 - t])), lo, hi)[:2]
+    if n == 2:
+        lo, hi = 0.0, 1.0
+        if feasible is not None:
+            t_cap = float(p_cap[0])
+            ends = _lockstep(
+                [_feasible_boundary(t_cap, end) for end in (0.0, 1.0)],
+                lambda t: feasible(np.stack([t, 1.0 - t], axis=-1)),
+            )
+            lo, hi = min(ends), max(ends)
+        # one search: one law at a time through _mi_raw costs less than a stack
+        t, fval = _run(_golden_max(lo, hi), lambda t: value(np.array([t, 1.0 - t])))
         p, total_it = np.array([t, 1.0 - t]), 300
     else:
-        best = None
-        total_it = 0
-        for p0 in starts():
-            p = p0.copy()
-            fval = value(p)
-            for _ in range(max_iter):
-                total_it += 1
-                slopes = _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c)
-                if _fw_gap(p, slopes) <= tol:
-                    break
+        p = np.array(_simplex_starts(n))
+        if feasible is not None:
+            s = _lockstep([_feasible_boundary(1.0, 0.0) for _ in p], lambda s: feasible(_mix(p, p_cap, s)))
+            p = _mix(p, p_cap, np.array(s))
+        fval = value(p).tolist()
+        its = [0] * len(p)
+        running = list(range(len(p)))
+        for _ in range(max_iter):
+            if not running:
+                break
+            owner, dirs, t_max = [], [], []
+            for i in running:
+                its[i] += 1
+                slopes = _secrecy_slopes(p[i], triple, neg_ent_m, neg_ent_c)
+                if _fw_gap(p[i], slopes) <= tol:
+                    continue
                 j_plus = int(np.argmax(slopes))
-                active = np.flatnonzero(p > 1e-15)
+                active = np.flatnonzero(p[i] > 1e-15)
                 j_minus = int(active[np.argmin(slopes[active])])
-                candidates = []
-                for direction, t_max in directions(p, j_plus, j_minus):
-                    if t_max <= 0.0:
-                        continue
-                    t, ft = _golden_max(lambda t: value(_step(p, direction, t)), 0.0, t_max)[:2]
-                    candidates.append((ft, _step(p, direction, t)))
-                if not candidates:
-                    break
-                ft, p_new = max(candidates, key=lambda c: c[0])
-                if ft <= fval + 1e-16:
-                    break
-                p, fval = p_new, ft
-            if best is None or fval > best[0]:
-                best = (fval, p)
-        fval, p = best
+                pairs = list(_cg_directions(p[i], j_plus, j_minus))
+                if p_cap is not None:
+                    pairs.append((p_cap - p[i], 1.0))
+                for direction, limit in pairs:
+                    owner.append(i)
+                    dirs.append(direction)
+                    t_max.append(limit)
+            if not owner:
+                break
+            base, dirs = p[owner], np.array(dirs)
+            if feasible is not None:
+                t_max = _lockstep(
+                    [_feasible_boundary(0.0, limit) for limit in t_max], lambda t: feasible(_step(base, dirs, t))
+                )
+            keep = [j for j, limit in enumerate(t_max) if limit > 0.0]
+            owner, base, dirs = [owner[j] for j in keep], base[keep], dirs[keep]
+            line = _lockstep([_golden_max(0.0, t_max[j]) for j in keep], lambda t: value(_step(base, dirs, t)))
+            p_new = _step(base, dirs, np.array([t for t, _ in line]))
+            pick = {}  # each start's first best search
+            for j, i in enumerate(owner):
+                if i not in pick or line[j][1] > line[pick[i]][1]:
+                    pick[i] = j
+            running = []
+            for i, j in pick.items():
+                if line[j][1] <= fval[i] + 1e-16:
+                    continue
+                p[i], fval[i] = p_new[j], line[j][1]
+                running.append(i)
+        best = max(range(len(p)), key=fval.__getitem__)
+        p, fval, total_it = p[best].copy(), fval[best], sum(its)
     gap = _fw_gap(p, _secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
     return CapacityResult(value=fval, argmax=p, iterations=total_it, certified_gap=max(gap, 0.0))
 
@@ -317,8 +461,7 @@ def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2
     certified_gap is the Frank-Wolfe gap at the returned point, valid because
     the objective is concave for the degraded cascade construction.
     """
-    n = triple.main.in_alphabet.size
-    return _ascent(triple, lambda: (0.0, 1.0), lambda: _simplex_starts(n), _cg_directions, tol, max_iter)
+    return _ascent(triple, tol, max_iter)
 
 
 def _neg_row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -326,9 +469,14 @@ def _neg_row_entropies(rows: np.ndarray) -> np.ndarray:
     return np.where(mask, rows * np.log2(np.where(mask, rows, 1.0)), 0.0).sum(axis=1)
 
 
-def _step(p: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:
-    out = np.maximum(p + t * direction, 0.0)
-    return out / out.sum()
+def _step(p: np.ndarray, direction: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """p + t direction, clipped at 0 and renormalized, for every step length in t."""
+    out = np.maximum(p + t[..., None] * direction, 0.0)
+    return out / out.sum(axis=-1, keepdims=True)
+
+
+def _mix(p: np.ndarray, target: np.ndarray, s: np.ndarray) -> np.ndarray:
+    return (1.0 - s)[..., None] * p + s[..., None] * target
 
 
 def secrecy_capacity_oracle(triple: ChannelTriple, grid_step: float = 0.02, refine: int = 0) -> float:
@@ -389,61 +537,29 @@ def gamma(triple: ChannelTriple, rate: float, tol: float = 1e-9) -> CapacityResu
     """
     if rate < 0.0:
         raise ValidationError(f"rate must be nonnegative, got {rate}")
-    n = triple.main.in_alphabet.size
-    cap = channel_capacity(triple.main, tol=min(tol, 1e-11))
+    return _gamma_at(triple, rate, tol, channel_capacity(triple.main, tol=min(tol, 1e-11)))
+
+
+def _gamma_at(triple: ChannelTriple, rate: float, tol: float, cap: CapacityResult) -> CapacityResult:
+    """gamma for a nonnegative rate, given cap = channel_capacity(triple.main, tol=min(tol, 1e-11))."""
     if rate > cap.value + max(cap.certified_gap, 1e-9):
         raise InfeasibleError(
             f"rate {rate:.10g} exceeds main-channel capacity {cap.value:.10g}"
         )
     rate = min(rate, cap.value)
-    ent_m = _row_entropies(triple.main.rows)
-    p_cap = cap.argmax
-
-    def feasible(p):
-        return _mi_raw(p, triple.main.rows, ent_m) >= rate
-
-    def interval():
-        t_cap = float(p_cap[0])
-        ends = [
-            _feasible_boundary(lambda t: feasible(np.array([t, 1.0 - t])), t_cap, end) for end in (0.0, 1.0)
-        ]
-        return min(ends), max(ends)
-
-    def start(p0):
-        s = _feasible_boundary(lambda s: feasible((1.0 - s) * p0 + s * p_cap), 1.0, 0.0)
-        return (1.0 - s) * p0 + s * p_cap
-
-    def directions(p, j_plus, j_minus):
-        for direction, t_max in itertools.chain(_cg_directions(p, j_plus, j_minus), [(p_cap - p, 1.0)]):
-            yield direction, _feasible_boundary(lambda t: feasible(_step(p, direction, t)), 0.0, t_max)
-
-    return _ascent(triple, interval, lambda: map(start, _simplex_starts(n)), directions, tol, 2000)
-
-
-def _feasible_boundary(pred, inner: float, outer: float) -> float:
-    """Farthest point from inner toward outer at which pred still holds.
-
-    pred(inner) holds and pred holds on an interval around inner (a rate
-    constraint along a segment, where I(X;Y) is concave); 100 bisections.
-    """
-    if pred(outer):
-        return outer
-    for _ in range(100):
-        mid = 0.5 * (inner + outer)
-        if pred(mid):
-            inner = mid
-        else:
-            outer = mid
-    return inner
+    main = triple.main.rows
+    ent_m = _row_entropies(main)
+    return _ascent(triple, tol, 2000, lambda p: _mi_rows(p, main, ent_m) >= rate, cap.argmax)
 
 
 def gamma_curve(triple: ChannelTriple, points: int = 50, tol: float = 1e-9) -> GammaCurve:
     """Sample Gamma[R] on an evenly spaced rate grid over [0, C_M]."""
     if points < 2:
         raise ValidationError(f"need at least 2 grid points, got {points}")
-    c_m = channel_capacity(triple.main, tol=min(tol, 1e-11)).value
+    cap = channel_capacity(triple.main, tol=min(tol, 1e-11))
+    c_m = cap.value
     grid = []
     for i in range(points):
         r = c_m * i / (points - 1)
-        grid.append((r, gamma(triple, r, tol=tol).value))
+        grid.append((r, _gamma_at(triple, r, tol, cap).value))
     return GammaCurve(points=tuple(grid), c_m=c_m)

@@ -6,6 +6,7 @@ reproduce it bit for bit (==, not isclose).
 
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -142,23 +143,209 @@ def test_cached_row_entropies_are_bitwise_equal():
         p[rng.random(n_in) < 0.3] = 0.0  # skipped rows
         p[0] += 0.1
         p /= p.sum()
-        ent = im._row_entropies(rows)
+        ent = im._row_entropies(rows).tolist()
         assert im._mi_raw(p, rows, ent) == _mi_uncached(p, rows)
         assert im._mi_raw(p, rows) == _mi_uncached(p, rows)
 
 
-@pytest.mark.parametrize("main, wire", TRIPLES_3)
-def test_solvers_identical_to_uncached_form(main, wire, monkeypatch):
+def test_stacked_mutual_information_is_bitwise_per_row():
+    # widths from 8 up sum pairwise, where a zero output entry must be left out
+    rng = np.random.default_rng(9)
+    for _ in range(300):
+        n_in, n_out = int(rng.integers(2, 7)), int(rng.integers(2, 13))
+        rows = rng.dirichlet(np.full(n_out, 0.5), size=n_in)
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[:, 0] += 1e-3
+        rows /= rows.sum(axis=1, keepdims=True)
+        p = rng.dirichlet(np.ones(n_in), size=int(rng.integers(1, 20)))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        p[:, 0] += 0.1
+        p /= p.sum(axis=1, keepdims=True)
+        got = im._mi_rows(p, rows, im._row_entropies(rows))
+        assert got.tolist() == [_mi_uncached(law, rows) for law in p]
+
+
+# -- the scalar multistart ascent -------------------------------------------
+# secrecy_capacity and gamma as they ran before their starts moved in lock
+# step: one start after another, one objective call per point, through the
+# uncached mutual information above. The lock-step solvers must equal them.
+
+
+def _ref_step(p, direction, t):
+    out = np.maximum(p + t * direction, 0.0)
+    return out / out.sum()
+
+
+def _ref_golden_max(fun, lo, hi, rtol=1e-13, max_iter=200):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fun(x1), fun(x2)
+    for _ in range(max_iter):
+        if b - a <= rtol * max(1.0, abs(a) + abs(b)):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fun(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fun(x1)
+    xs = [(a, fun(a)), (x1, f1), (x2, f2), (b, fun(b))]
+    return max(xs, key=lambda t: t[1])
+
+
+def _ref_feasible_boundary(pred, inner, outer):
+    # all 100 bisections, without the stop once the midpoint rounds to an end
+    if pred(outer):
+        return outer
+    for _ in range(100):
+        mid = 0.5 * (inner + outer)
+        if pred(mid):
+            inner = mid
+        else:
+            outer = mid
+    return inner
+
+
+def _ref_ascent(triple, interval, starts, directions, tol, max_iter):
+    neg_ent_m = im._neg_row_entropies(triple.main.rows)
+    neg_ent_c = im._neg_row_entropies(triple.cascade.rows)
+
+    def value(p):
+        return _mi_uncached(p, triple.main.rows) - _mi_uncached(p, triple.cascade.rows)
+
+    if triple.main.in_alphabet.size == 2:
+        lo, hi = interval()
+        t, fval = _ref_golden_max(lambda t: value(np.array([t, 1.0 - t])), lo, hi)[:2]
+        p, total_it = np.array([t, 1.0 - t]), 300
+    else:
+        best = None
+        total_it = 0
+        for p0 in starts():
+            p = p0.copy()
+            fval = value(p)
+            for _ in range(max_iter):
+                total_it += 1
+                slopes = im._secrecy_slopes(p, triple, neg_ent_m, neg_ent_c)
+                if im._fw_gap(p, slopes) <= tol:
+                    break
+                j_plus = int(np.argmax(slopes))
+                active = np.flatnonzero(p > 1e-15)
+                j_minus = int(active[np.argmin(slopes[active])])
+                candidates = []
+                for direction, t_max in directions(p, j_plus, j_minus):
+                    if t_max <= 0.0:
+                        continue
+                    t, ft = _ref_golden_max(lambda t: value(_ref_step(p, direction, t)), 0.0, t_max)[:2]
+                    candidates.append((ft, _ref_step(p, direction, t)))
+                if not candidates:
+                    break
+                ft, p_new = max(candidates, key=lambda c: c[0])
+                if ft <= fval + 1e-16:
+                    break
+                p, fval = p_new, ft
+            if best is None or fval > best[0]:
+                best = (fval, p)
+        fval, p = best
+    gap = im._fw_gap(p, im._secrecy_slopes(p, triple, neg_ent_m, neg_ent_c))
+    return im.CapacityResult(value=fval, argmax=p, iterations=total_it, certified_gap=max(gap, 0.0))
+
+
+def _ref_secrecy_capacity(triple, tol=1e-9, max_iter=2000):
+    n = triple.main.in_alphabet.size
+    return _ref_ascent(triple, lambda: (0.0, 1.0), lambda: im._simplex_starts(n), im._cg_directions, tol, max_iter)
+
+
+def _ref_gamma(triple, rate, tol=1e-9):
+    n = triple.main.in_alphabet.size
+    cap = im.channel_capacity(triple.main, tol=min(tol, 1e-11))
+    rate = min(rate, cap.value)
+    p_cap = cap.argmax
+
+    def feasible(p):
+        return _mi_uncached(p, triple.main.rows) >= rate
+
+    def interval():
+        t_cap = float(p_cap[0])
+        ends = [
+            _ref_feasible_boundary(lambda t: feasible(np.array([t, 1.0 - t])), t_cap, end) for end in (0.0, 1.0)
+        ]
+        return min(ends), max(ends)
+
+    def start(p0):
+        s = _ref_feasible_boundary(lambda s: feasible((1.0 - s) * p0 + s * p_cap), 1.0, 0.0)
+        return (1.0 - s) * p0 + s * p_cap
+
+    def directions(p, j_plus, j_minus):
+        for direction, t_max in itertools.chain(im._cg_directions(p, j_plus, j_minus), [(p_cap - p, 1.0)]):
+            yield direction, _ref_feasible_boundary(lambda t: feasible(_ref_step(p, direction, t)), 0.0, t_max)
+
+    return _ref_ascent(triple, interval, lambda: map(start, im._simplex_starts(n)), directions, tol, 2000)
+
+
+def _assert_same_result(got, want):
+    assert got.value.hex() == want.value.hex()
+    assert got.argmax.tobytes() == want.argmax.tobytes()
+    assert got.iterations == want.iterations
+    assert got.certified_gap.hex() == want.certified_gap.hex()
+
+
+@pytest.mark.parametrize("main, wire", TRIPLES_3 + ((bsc(0.05).rows, bsc(0.15).rows),))
+def test_solvers_identical_to_uncached_form(main, wire):
     triple = ChannelTriple(channel_from_rows(main), channel_from_rows(wire))
     rate = 0.8 * im.channel_capacity(triple.main).value
-    fast = [im.secrecy_capacity(triple), im.gamma(triple, rate)]
-    monkeypatch.setattr(im, "_mi_raw", lambda p, rows, row_ent=None: _mi_uncached(p, rows))
-    slow = [im.secrecy_capacity(triple), im.gamma(triple, rate)]
-    for a, b in zip(fast, slow):
-        assert a.value == b.value
-        assert a.iterations == b.iterations
-        assert np.array_equal(a.argmax, b.argmax)
-        assert a.certified_gap == b.certified_gap
+    _assert_same_result(im.secrecy_capacity(triple), _ref_secrecy_capacity(triple))
+    _assert_same_result(im.gamma(triple, rate), _ref_gamma(triple, rate))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+@pytest.mark.parametrize("main, wire", TRIPLES_3)
+def test_lockstep_ascent_honours_iteration_cap(main, wire, max_iter):
+    # the iteration cap stops the starts mid-ascent
+    triple = ChannelTriple(channel_from_rows(main), channel_from_rows(wire))
+    got = im.secrecy_capacity(triple, max_iter=max_iter)
+    _assert_same_result(got, _ref_secrecy_capacity(triple, max_iter=max_iter))
+
+
+@st.composite
+def _sparse_triples(draw):
+    # 3-5 inputs, 2-4 outputs per channel, entries below 0.3 zeroed
+    n_in, y_size, z_size = draw(st.integers(3, 5)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+
+    def rows(n_rows, n_out):
+        raw = draw(st.lists(st.floats(0.0, 1.0), min_size=n_rows * n_out, max_size=n_rows * n_out))
+        q = np.array(raw).reshape(n_rows, n_out)
+        q[q < 0.3] = 0.0
+        q[np.arange(n_rows), np.argmax(q, axis=1)] += 0.05  # no all-zero row
+        return q / q.sum(axis=1, keepdims=True)
+
+    return ChannelTriple(channel_from_rows(rows(n_in, y_size)), channel_from_rows(rows(y_size, z_size)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(triple=_sparse_triples(), frac=st.sampled_from([None, 0.0, 0.5, 0.999]))
+def test_lockstep_solvers_equal_scalar_reference(triple, frac):
+    # frac None is secrecy_capacity; 0.999 of C_M binds the rate constraint
+    if frac is None:
+        _assert_same_result(im.secrecy_capacity(triple), _ref_secrecy_capacity(triple))
+    else:
+        rate = frac * im.channel_capacity(triple.main).value
+        _assert_same_result(im.gamma(triple, rate), _ref_gamma(triple, rate))
+
+
+@pytest.mark.parametrize("main, wire, points", [(bsc(0.05).rows, bsc(0.15).rows, 6), (*TRIPLES_3[0], 3)])
+def test_gamma_curve_solves_capacity_once(main, wire, points, monkeypatch):
+    triple = ChannelTriple(channel_from_rows(main), channel_from_rows(wire))
+    want = [im.gamma(triple, r).value for r, _ in im.gamma_curve(triple, points=points).points]
+    calls = []
+    real = im.channel_capacity
+    monkeypatch.setattr(im, "channel_capacity", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    got = [v for _, v in im.gamma_curve(triple, points=points).points]
+    assert len(calls) == 1
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _per_row_validate(rows, tol=1e-12):

@@ -518,12 +518,17 @@ GOLDEN_LOAD_ERRORS = {
         "negative emission probability -0.5 for key (0, 0, 0)",
     ),
     "init_range": (_ENC.replace("init 0", "init 5") + _ENC_EMITS + "next * * 0\n", "initial state 5 out of range"),
-    "no_states": (_ENC.replace("states 2", "states 0") + "next * * 0\n", "next state 0 outside [0, 0)"),
+    # the scalars are checked before any rule line is parsed; this file used
+    # to fail on its next line with "next state 0 outside [0, 0)"
+    "no_states": (_ENC.replace("states 2", "states 0") + "next * * 0\n", "n_states must be a positive integer, got 0"),
+    # used to reach numpy's "negative dimensions are not allowed"
+    "side_negative": (_SIDE_DEC.replace("side 2", "side -1") + "out * * 0\n", "side_size must be a positive integer, got -1"),
     "side_enc_arity": (_ENC + "side 2\nnext 0 0 0\n", "malformed next line '0 0 0'"),
     "side_enc_symbol": (_ENC + "side 2\nemit 0 0 2 0\n", "symbol 2 outside alphabet of size 2"),
     "dec_out_first": (_DEC + "next * * 0\n", "output undefined for (state=0, y=(0, 0), w=(0,))"),
     "dec_next": (_DEC + "out * * 0\n", "next state undefined for (state=0, y=(0, 0), w=(0,))"),
-    "dec_out_wild": (_DEC + "out 0 *,* *\n", "wildcard not allowed in emit lines"),
+    # a decoder file has no emit lines, which the message used to name
+    "dec_out_wild": (_DEC + "out 0 *,* *\n", "wildcard not allowed in the output block of an out line"),
     "dec_out_arity": (_DEC + "out 0 0,0\n", "malformed out line '0 0,0'"),
     "dec_block": (_DEC + "out 0 0 0\n", "block '0' has 1 symbols, expected 2"),
     "dec_partial": (_DEC + "out * 0,* 1\nnext * * 0\n", "output undefined for (state=0, y=(1, 0), w=(0,))"),
