@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ValidationError
+from .info_measures import binary_entropy
 from .parsing import conditional_lz_complexity, lz_complexity
 from .sequences import SymbolSequence
 
@@ -81,11 +82,7 @@ def delta_eps(eps_r: float, alpha: int) -> float:
         raise ValidationError(f"eps_r must lie in [0, 1], got {eps_r}")
     if alpha < 2:
         raise ValidationError(f"alpha must be >= 2, got {alpha}")
-    if eps_r in (0.0, 1.0):
-        h = 0.0
-    else:
-        h = -eps_r * math.log2(eps_r) - (1.0 - eps_r) * math.log2(1.0 - eps_r)
-    return h + eps_r * math.log2(alpha - 1)
+    return binary_entropy(eps_r) + eps_r * math.log2(alpha - 1)
 
 
 def divisors(n: int) -> list:

@@ -253,10 +253,9 @@ def _cmd_simulate(args) -> int:
             if not args.leak:
                 raise ValidationError("side-information encoders need --leak for --exact-leakage")
             leak = ch.load_channel(args.leak)
-            mu = np.full(
-                (enc.in_size ** len(u), enc.side_size ** len(u)),
-                1.0 / (enc.in_size ** len(u) * enc.side_size ** len(u)),
-            )
+            # a read-only view: conditional_leakage checks its budgets before reading it
+            shape = (enc.in_size ** len(u), enc.side_size ** len(u))
+            mu = np.broadcast_to(1.0 / (shape[0] * shape[1]), shape)
             rep = fc.conditional_leakage(enc, triple, leak, len(u), mu)
             results["leakage"] = {
                 "i_uz": rep.i_uz,
@@ -274,7 +273,10 @@ def _cmd_wyner(args) -> int:
     triple = _load_triple(args)
     in_size = triple.main.in_alphabet.size
     if args.dist:
-        dist = [float(t) for t in args.dist.split(",")]
+        try:
+            dist = [float(t) for t in args.dist.split(",")]
+        except ValueError:
+            raise ValidationError(f"--dist must be comma-separated numbers, got {args.dist!r}") from None
     else:
         dist = [1.0 / in_size] * in_size
     code = wb.build_code(args.N, args.secret_bits, args.random_bits, dist, seed=args.seed)

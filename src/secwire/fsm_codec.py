@@ -585,8 +585,9 @@ def conditional_leakage(
     mu is the joint source/side distribution with shape (in_size^n,
     side_size^n); a 1-D mu is accepted for plain encoders. leak_channel maps
     the side alphabet to the eavesdropper's degraded view W-dot; None means
-    W-dot = W. Raises BudgetError, before allocating anything, when G3, the
-    n-fold leak channel or the joint with W-dot would exceed the budget.
+    W-dot = W. Raises BudgetError, before allocating anything or reading
+    mu's entries (a broadcast view of any shape is free to pass), when G3,
+    the n-fold leak channel or the joint with W-dot would exceed the budget.
     """
     mu_arr = np.asarray(mu, dtype=float)
     if mu_arr.ndim == 1:
@@ -594,9 +595,9 @@ def conditional_leakage(
     u_total, w_total = enc.in_size ** n, enc.side_size ** n
     if mu_arr.shape != (u_total, w_total):
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
-    if mu_arr.min() < 0.0 or abs(float(mu_arr.sum()) - 1.0) > 1e-9:
-        raise ValidationError("mu must be a joint probability distribution")
     leak_n = _leak_power(enc, triple, _leak_rows(enc, leak_channel), n)
+    if not (mu_arr.min() >= 0.0 and abs(float(mu_arr.sum()) - 1.0) <= 1e-9):  # NaN fails too
+        raise ValidationError("mu must be a joint probability distribution")
     return _leakage_report(enc, _enumerate_g3(enc, triple, n), leak_n, mu_arr)
 
 

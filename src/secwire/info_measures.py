@@ -17,17 +17,20 @@ every line search are clipped by bisection to the feasible set, and it also
 searches toward the capacity-achieving input. Its gap stays the
 unconstrained one, which still bounds the constrained suboptimality.
 
-The multistarts run in lock step. The golden-section search and the
-bisection are coroutines that yield the points they need; each round of the
-ascent collects the line searches of every running start and direction, and
-_lockstep drives them together, evaluating the pending points of all of them
-in one stacked call (_mi_rows) per step. gamma's bisections (every start
-mixed toward the capacity-achieving input, every direction's t_max) run the
-same way. Each start keeps its own iterate, iteration count and stopping
-rules, and _mi_rows reproduces the one-law computation bit for bit, so every
-result equals that of running the starts one after another. A bisection
-stops once its midpoint rounds to one of its ends, after which further steps
-could not move its result.
+Every mutual information, in the public functions and in the solvers, goes
+through one kernel, _mi_rows, and every search through one driver,
+_lockstep. The golden-section search and the bisection are coroutines that
+yield the points they need; _lockstep drives a list of them together,
+evaluating the pending points of all of them in one stacked call per step.
+The binary golden-section search is a list of one. The multistarts run in
+lock step: each round of the ascent collects the line searches of every
+running start and direction, and gamma's bisections (every start mixed
+toward the capacity-achieving input, every direction's t_max) run the same
+way. Each start keeps its own iterate, iteration count and stopping rules,
+and _mi_rows computes each law of a stack bit for bit as it computes that law
+alone, so every result equals that of running the starts one after another.
+A bisection stops once its midpoint rounds to one of its ends, after which
+further steps could not move its result.
 """
 
 from __future__ import annotations
@@ -64,9 +67,7 @@ def check_prob_vector(p, size: int | None = None) -> np.ndarray:
 
 def entropy(dist) -> float:
     """Shannon entropy in bits, with 0 log 0 = 0."""
-    arr = check_prob_vector(dist)
-    nz = arr[arr > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return _entropy_raw(check_prob_vector(dist))
 
 
 def _entropy_raw(arr: np.ndarray) -> float:
@@ -89,7 +90,7 @@ def mutual_information(p, ch: TransitionMatrix) -> float:
     probabilities.
     """
     arr = check_prob_vector(p, ch.in_alphabet.size)
-    return _mi_raw(arr, ch.rows)
+    return float(_mi_rows(arr, ch.rows, _row_entropies(ch.rows)))
 
 
 def _row_entropies(rows: np.ndarray) -> np.ndarray:
@@ -109,10 +110,11 @@ def _row_entropies(rows: np.ndarray) -> np.ndarray:
 def _mi_rows(p: np.ndarray, rows: np.ndarray, row_ent: np.ndarray) -> np.ndarray:
     """I(X;Y) = H(Y) - H(Y|X) for every input law along the last axis of p.
 
-    row_ent must be _row_entropies(rows). Each value equals, bit for bit, the
-    one-law computation: np.matmul on a stack of (1, n) rows runs one gemv
-    per law, as p @ rows does for a 1-D p (a 2-D p @ rows goes through gemm,
-    which can round differently), and H(Y|X) is accumulated in row order.
+    A 1-D p gives a 0-d array. row_ent must be _row_entropies(rows). Each
+    value equals, bit for bit, the one-law computation: np.matmul on a stack
+    of (1, n) rows runs one gemv per law, as p @ rows does for a 1-D p (a 2-D
+    p @ rows goes through gemm, which can round differently), and H(Y|X) is
+    accumulated in row order.
     """
     flat = p.reshape(-1, p.shape[-1])
     q = np.matmul(flat[:, None, :], rows)[:, 0, :]
@@ -122,20 +124,6 @@ def _mi_rows(p: np.ndarray, rows: np.ndarray, row_ent: np.ndarray) -> np.ndarray
     return np.where(mi < 0.0, 0.0, mi).reshape(p.shape[:-1])
 
 
-def _mi_raw(p: np.ndarray, rows: np.ndarray, row_ent: list | None = None) -> float:
-    # one law, the same bits as _mi_rows at a fraction of its per-call cost;
-    # row_ent, when given, must be _row_entropies(rows).tolist(), which
-    # solvers compute once per call
-    if row_ent is None:
-        row_ent = _row_entropies(rows).tolist()
-    q = p @ rows
-    h_cond = 0.0
-    for px, h in zip(p.tolist(), row_ent):
-        if px > 0.0:
-            h_cond += px * h
-    return max(_entropy_raw(q) - h_cond, 0.0)
-
-
 def _secrecy_objective(triple: ChannelTriple):
     """p -> I(X;Y) - I(X;Z) for one law or along the last axis of a stack of laws.
 
@@ -143,11 +131,8 @@ def _secrecy_objective(triple: ChannelTriple):
     """
     main, casc = triple.main.rows, triple.cascade.rows
     ent_m, ent_c = _row_entropies(main), _row_entropies(casc)
-    list_m, list_c = ent_m.tolist(), ent_c.tolist()
 
     def value(p):
-        if p.ndim == 1:
-            return _mi_raw(p, main, list_m) - _mi_raw(p, casc, list_c)
         return _mi_rows(p, main, ent_m) - _mi_rows(p, casc, ent_c)
 
     return value
@@ -156,7 +141,7 @@ def _secrecy_objective(triple: ChannelTriple):
 def secrecy_rate(p, triple: ChannelTriple) -> float:
     """f(p) = I(X;Y) - I(X;Z) in bits."""
     arr = check_prob_vector(p, triple.main.in_alphabet.size)
-    return _mi_raw(arr, triple.main.rows) - _mi_raw(arr, triple.cascade.rows)
+    return float(_secrecy_objective(triple)(arr))
 
 
 def _check_joint(joint, ndim: int) -> np.ndarray:
@@ -220,8 +205,7 @@ def channel_capacity(ch: TransitionMatrix, tol: float = 1e-9, max_iter: int = 20
     iteration cap is hit, in which case value is still a valid lower bound
     within certified_gap of capacity.
     """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     rows = ch.rows
     n = rows.shape[0]
     row_neg_ent = _neg_row_entropies(rows)
@@ -244,11 +228,16 @@ def channel_capacity(ch: TransitionMatrix, tol: float = 1e-9, max_iter: int = 20
     return CapacityResult(value=lb, argmax=p_best, iterations=it, certified_gap=max(gap, 0.0))
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # NaN fails too
+        raise ValidationError(f"tolerance must be positive, got {tol}")
+
+
 def _golden_max(lo: float, hi: float, rtol: float = 1e-13, max_iter: int = 200):
     """Golden-section maximization of a concave function on [lo, hi], as a coroutine.
 
     Yields each point at which it needs the function and must be sent the
-    value there (see _run and _lockstep); returns (t, f(t)) for the best of
+    value there (see _lockstep); returns (t, f(t)) for the best of
     its final four points.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -294,16 +283,6 @@ def _feasible_boundary(inner: float, outer: float):
         else:
             outer = mid
     return inner
-
-
-def _run(search, fun):
-    """Drive one search coroutine with fun, called on each point it yields."""
-    try:
-        x = next(search)
-        while True:
-            x = search.send(fun(x))
-    except StopIteration as stop:
-        return stop.value
 
 
 def _lockstep(searches: list, fun) -> list:
@@ -398,8 +377,7 @@ def _ascent(triple: ChannelTriple, tol: float, max_iter: int, feasible=None, p_c
                 lambda t: feasible(np.stack([t, 1.0 - t], axis=-1)),
             )
             lo, hi = min(ends), max(ends)
-        # one search: one law at a time through _mi_raw costs less than a stack
-        t, fval = _run(_golden_max(lo, hi), lambda t: value(np.array([t, 1.0 - t])))
+        [(t, fval)] = _lockstep([_golden_max(lo, hi)], lambda t: value(np.stack([t, 1.0 - t], axis=-1)))
         p, total_it = np.array([t, 1.0 - t]), 300
     else:
         p = np.array(_simplex_starts(n))
@@ -461,6 +439,7 @@ def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2
     certified_gap is the Frank-Wolfe gap at the returned point, valid because
     the objective is concave for the degraded cascade construction.
     """
+    _check_tol(tol)
     return _ascent(triple, tol, max_iter)
 
 
@@ -517,7 +496,7 @@ def secrecy_capacity_oracle(triple: ChannelTriple, grid_step: float = 0.02, refi
                     if v > best_v + 1e-15:
                         best_v, best_p = v, cand
                         improved = True
-    return best_v
+    return float(best_v)
 
 
 @dataclass(frozen=True)
@@ -535,8 +514,9 @@ def gamma(triple: ChannelTriple, rate: float, tol: float = 1e-9) -> CapacityResu
     binding constraints on alphabets larger than 2 the certified_gap reported
     is the unconstrained Frank-Wolfe gap, an upper bound that can be loose.
     """
-    if rate < 0.0:
+    if not rate >= 0.0:  # NaN fails too
         raise ValidationError(f"rate must be nonnegative, got {rate}")
+    _check_tol(tol)
     return _gamma_at(triple, rate, tol, channel_capacity(triple.main, tol=min(tol, 1e-11)))
 
 

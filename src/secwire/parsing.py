@@ -1,7 +1,8 @@
 """Incremental (LZ78) parsing, LZ complexity, and the conditional variant.
 
-One trie engine drives both the single-sequence parse and the pair parse; the
-pair parse walks the product alphabet, keying trie edges by the index
+One trie walk, _parse_stream, drives both the single-sequence parse and the
+pair parse; the prefix counts c(u^i) are read off the single-sequence parse.
+The pair parse walks the product alphabet, keying trie edges by the index
 u * |W| + w of each (u, w) symbol pair (an int hashes faster than a tuple).
 
 Counting conventions differ deliberately between the two parses. The plain
@@ -14,6 +15,7 @@ vanish exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -97,26 +99,13 @@ def lz_complexity(u: SymbolSequence) -> float:
 
 
 def prefix_phrase_counts(u: SymbolSequence) -> tuple:
-    """c(u^i) for every prefix length i = 1..n, from a single parse pass."""
-    if len(u) == 0:
-        raise ValidationError("cannot parse an empty sequence")
-    root: dict = {}
-    node = root
-    counts = []
-    complete = 0
-    inside = False
-    for sym in u.data:
-        child = node.get(sym)
-        if child is None:
-            node[sym] = {}
-            complete += 1
-            node = root
-            inside = False
-        else:
-            node = child
-            inside = True
-        counts.append(complete + (1 if inside else 0))
-    return tuple(counts)
+    """c(u^i) for every prefix length i = 1..n, from u's own parse.
+
+    The parse of a prefix u^i is u's parse cut at i, so c(u^i) is the number
+    of u's phrases that start before i: phrase j counts j over its span.
+    """
+    spans = incremental_parse(u).phrases
+    return tuple(itertools.chain.from_iterable(itertools.repeat(j, b - a) for j, (a, b) in enumerate(spans, 1)))
 
 
 def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:

@@ -25,33 +25,13 @@ def fmt_float(x: float) -> str:
     return "%.10g" % x
 
 
-def _coerce(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_coerce(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_coerce(v) for v in obj]
-    if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            if not isinstance(k, str):
-                raise ValidationError(f"report keys must be strings, got {k!r}")
-            out[k] = _coerce(v)
-        return out
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise ValidationError(f"cannot render object of type {type(obj).__name__}")
-
-
 def _render(obj, indent: int | None, level: int) -> str:
-    """One pass over the document: coerce each node as _coerce does, then print it.
+    """One pass over the document: read each node as plain JSON data and print it.
 
-    Exact-type checks come first: they are the common case and never take a
-    bool for an int. Containers, numpy values and subclasses of the plain
-    types fall through to the isinstance checks.
+    numpy scalars print as the Python numbers they convert to, arrays and
+    tuples as lists. Exact-type checks come first: they are the common case
+    and never take a bool for an int. Containers, numpy values and subclasses
+    of the plain types fall through to the isinstance checks.
     """
     t = type(obj)
     if t is int:
@@ -113,27 +93,41 @@ def render_json(obj, indent: int | None = 2) -> str:
 
 
 def flatten(obj, prefix: str = "") -> list:
-    """Depth-first (key path, scalar) pairs; lists index as name[i]."""
+    """Depth-first (key path, scalar) pairs; lists index as name[i].
+
+    Arrays and tuples flatten as lists; floats (numpy ones too) become their
+    %.10g text, bools "true"/"false", None "", numpy integers int. The
+    document is checked as render_json checks it.
+    """
     out: list = []
-    _flatten_into(_coerce(obj), prefix, out)
+    _flatten_into(obj, prefix, out)
     return out
 
 
 def _flatten_into(obj, prefix: str, out: list) -> None:
     if isinstance(obj, dict):
         for k, v in obj.items():
+            if not isinstance(k, str):
+                raise ValidationError(f"report keys must be strings, got {k!r}")
             _flatten_into(v, f"{prefix}.{k}" if prefix else k, out)
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
+        return
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        for i, v in enumerate(obj.tolist() if isinstance(obj, np.ndarray) else obj):
             _flatten_into(v, f"{prefix}[{i}]", out)
-    else:
-        if isinstance(obj, float):
-            obj = fmt_float(obj)
-        elif isinstance(obj, bool):
-            obj = "true" if obj else "false"
-        elif obj is None:
-            obj = ""
-        out.append((prefix, obj))
+        return
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    elif isinstance(obj, np.integer):
+        obj = int(obj)
+    if isinstance(obj, float):
+        obj = fmt_float(obj)
+    elif isinstance(obj, bool):
+        obj = "true" if obj else "false"
+    elif obj is None:
+        obj = ""
+    elif not isinstance(obj, (int, str)):
+        raise ValidationError(f"cannot render object of type {type(obj).__name__}")
+    out.append((prefix, obj))
 
 
 def render_csv(obj) -> str:

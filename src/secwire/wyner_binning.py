@@ -10,12 +10,13 @@ one bin's laws (2^random_bits x |Z|^N) plus the per-bin averages
 (2^secret_bits x |Z|^N), never the whole codebook's; the budget is still
 checked against the whole-codebook count before anything is allocated.
 
-Decoding error is estimated by Monte Carlo over the main channel. Each trial
-draws from its own substream, and trials are scored in blocks: one block's
-(input, output) pair counts for every codeword come from 0/1 matrix products
-and fill at most MC_BLOCK_ENTRIES float64 entries (a block is never smaller
-than one trial), and each trial is then scored exactly as ml_decode scores
-it.
+ML decoding has one scorer, _ml_decisions, for a stack of received words:
+each word's (input, output) pair counts for every codeword come from 0/1
+matrix products, and its scores are those counts times the log-channel.
+ml_decode scores one word. Decoding error is estimated by Monte Carlo over
+the main channel: each trial draws from its own substream, and trials are
+scored in blocks whose pair counts fill at most MC_BLOCK_ENTRIES float64
+entries (a block is never smaller than one trial).
 """
 
 from __future__ import annotations
@@ -125,14 +126,20 @@ def ml_decode(code: WynerCode, y: SymbolSequence, ch: TransitionMatrix) -> tuple
             f"received alphabet {y.alphabet.size} does not match channel output "
             f"{ch.out_alphabet.size}"
         )
-    out_size = ch.out_alphabet.size
+    return _ml_decisions(code, ch, y.array()[None])[0]
+
+
+def _ml_decisions(code: WynerCode, ch: TransitionMatrix, ys: np.ndarray) -> list:
+    """Maximum-likelihood (secret, inner) for every received word ys[t].
+
+    Each word's scores are its _pair_counts matrix times the log-channel, one
+    2-D product per word, so a word's decision does not depend on the others.
+    """
     flat_cw = code.codebook.reshape(-1, code.block_len)
-    pair = flat_cw * out_size + y.array()[None, :]
-    counts = np.zeros((flat_cw.shape[0], code.in_size * out_size), dtype=np.int64)
-    np.add.at(counts, (np.repeat(np.arange(flat_cw.shape[0]), code.block_len), pair.ravel()), 1)
-    scores = counts @ _log_channel(ch)
-    best = int(np.argmax(scores))
-    return divmod(best, code.words_per_bin)
+    x_onehot = [(flat_cw == a).astype(float).T for a in range(code.in_size)]
+    logch = _log_channel(ch)
+    counts = _pair_counts(x_onehot, ys, ch.out_alphabet.size)
+    return [divmod(int(np.argmax(c @ logch)), code.words_per_bin) for c in counts]
 
 
 def _log_channel(ch: TransitionMatrix) -> np.ndarray:
@@ -146,8 +153,7 @@ def _pair_counts(x_onehot: list, ys: np.ndarray, out_size: int) -> np.ndarray:
 
     x_onehot[a] is the (N, codewords) 0/1 matrix of codeword positions holding
     a. One 0/1 matrix product per (a, b) gives exact integer counts, laid out
-    so that counts[t] is the C-contiguous (codewords, pairs) matrix ml_decode
-    builds for received word ys[t].
+    so that counts[t] is a C-contiguous (codewords, pairs) matrix.
     """
     counts = np.empty((ys.shape[0], x_onehot[0].shape[1], len(x_onehot) * out_size))
     for b in range(out_size):
@@ -214,16 +220,12 @@ def monte_carlo_error(code: WynerCode, ch: TransitionMatrix, trials: int, seed: 
     Trial t draws its secret, inner index and channel output from
     substream(seed, t), in that order. Received words are decoded in blocks
     of trials whose pair counts fill at most MC_BLOCK_ENTRIES entries, or
-    one trial's counts if those alone exceed it; each trial's decision is
-    ml_decode's, bit for bit, ties included.
+    one trial's counts if those alone exceed it, by ml_decode's scorer.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    flat_cw = code.codebook.reshape(-1, code.block_len)
-    x_onehot = [(flat_cw == a).astype(float).T for a in range(code.in_size)]
-    out_size = ch.out_alphabet.size
-    logch = _log_channel(ch)
-    block = max(1, MC_BLOCK_ENTRIES // (flat_cw.shape[0] * code.in_size * out_size))
+    words = code.bins * code.words_per_bin
+    block = max(1, MC_BLOCK_ENTRIES // (words * code.in_size * ch.out_alphabet.size))
     secret_errs = word_errs = 0
     for start in range(0, trials, block):
         sent, received = [], []
@@ -234,9 +236,7 @@ def monte_carlo_error(code: WynerCode, ch: TransitionMatrix, trials: int, seed: 
             y = sample(ch, wyner_encode(code, secret, inner), rng)
             sent.append((secret, inner))
             received.append(y.data)
-        counts = _pair_counts(x_onehot, np.array(received), out_size)
-        for (secret, inner), trial_counts in zip(sent, counts):
-            s_hat, i_hat = divmod(int(np.argmax(trial_counts @ logch)), code.words_per_bin)
+        for (secret, inner), (s_hat, i_hat) in zip(sent, _ml_decisions(code, ch, np.array(received))):
             if s_hat != secret:
                 secret_errs += 1
             if (s_hat, i_hat) != (secret, inner):

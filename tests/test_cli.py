@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from secwire import (
     Alphabet,
     DecoderSpec,
+    SideInfoEncoderSpec,
     StochasticEncoderSpec,
     SymbolSequence,
     bsc,
@@ -107,6 +109,25 @@ def test_capacity_nan_channel_exits_2(tmp_path, capsys):
     wire = _write_bsc(tmp_path / "w.ch", 0.1)
     assert cli.main(["capacity", "--main", str(main), "--wiretap", wire]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--tol", "nan"], "tolerance must be positive, got nan"),
+        (["--wiretap", "w.ch", "--tol", "-1"], "tolerance must be positive, got -1.0"),
+        (["--wiretap", "w.ch", "--gamma", "0.1", "--tol", "nan"], "tolerance must be positive, got nan"),
+        (["--wiretap", "w.ch", "--gamma", "nan"], "rate must be nonnegative, got nan"),
+    ],
+)
+def test_capacity_rejects_bad_solver_arguments(tmp_path, capsys, monkeypatch, extra, message):
+    monkeypatch.chdir(tmp_path)
+    _write_bsc(tmp_path / "m.ch", 0.05)
+    _write_bsc(tmp_path / "w.ch", 0.15)
+    assert cli.main(["capacity", "--main", "m.ch", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"secwire: validation error: {message}\n"
 
 
 def test_non_utf8_sequence_exits_2(tmp_path, capsys):
@@ -252,6 +273,50 @@ def test_wyner_audit_requires_ell(tmp_path, capsys):
     )
     assert rc == 2
     assert "--ell" in capsys.readouterr().err
+
+
+def test_wyner_bad_dist_exits_2(tmp_path, capsys):
+    main = _write_bsc(tmp_path / "m.ch", 0.05)
+    wire = _write_bsc(tmp_path / "w.ch", 0.2)
+    rc = cli.main(
+        ["wyner", "--N", "4", "--secret-bits", "1", "--random-bits", "1",
+         "--main", main, "--wiretap", wire, "--trials", "10", "--seed", "3",
+         "--dist", "0.5,abc"]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "secwire: validation error: --dist must be comma-separated numbers, got '0.5,abc'\n"
+    )
+
+
+def test_simulate_exact_leakage_checks_budget_before_allocating(tmp_path, capsys):
+    # at n = 11 a dense uniform mu alone would take 2^22 floats (32 MiB); the
+    # joint enumeration exceeds the budget, so nothing that large is built
+    enc = SideInfoEncoderSpec(
+        k=1, m=1, in_size=2, out_size=2, n_states=1,
+        emit={(0, u, w): [(u, 1.0)] for u in range(2) for w in range(2)},
+        next_state=np.zeros((1, 2, 2), dtype=int), side_size=2,
+    )
+    _, dec = _identity_fsm_files(tmp_path)
+    dump_fsm(enc, tmp_path / "side_enc.fsm")
+    rng = np.random.default_rng(5)
+    argv = [
+        "simulate", "--enc", str(tmp_path / "side_enc.fsm"), "--dec", dec,
+        "--main", _write_bsc(tmp_path / "m.ch", 0.1), "--wiretap", _write_bsc(tmp_path / "w.ch", 0.2),
+        "--seq", _write_seq(tmp_path / "u.seq", rng.integers(0, 2, 11)),
+        "--side", _write_seq(tmp_path / "s.seq", rng.integers(0, 2, 11)),
+        "--leak", _write_bsc(tmp_path / "l.ch", 0.3),
+        "--trials", "2", "--seed", "1", "--exact-leakage",
+    ]
+    tracemalloc.start()
+    try:
+        rc = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    assert peak < 2 ** 20
 
 
 def test_threads_env_echoed_and_validated(tmp_path, capsys, monkeypatch):

@@ -37,15 +37,29 @@ TRIPLES_3 = (
 )
 
 
+def _reference_ml_decode(code, y, ch):
+    # the per-word scorer ml_decode used before it shared monte_carlo_error's:
+    # integer pair counts by np.add.at, then one product with the log-channel
+    out_size = ch.out_alphabet.size
+    flat_cw = code.codebook.reshape(-1, code.block_len)
+    pair = flat_cw * out_size + y.array()[None, :]
+    counts = np.zeros((flat_cw.shape[0], code.in_size * out_size), dtype=np.int64)
+    np.add.at(counts, (np.repeat(np.arange(flat_cw.shape[0]), code.block_len), pair.ravel()), 1)
+    with np.errstate(divide="ignore"):
+        logch = np.log2(ch.rows).ravel()
+    scores = counts @ np.where(np.isfinite(logch), logch, wb.LOG_FLOOR)
+    return divmod(int(np.argmax(scores)), code.words_per_bin)
+
+
 def _reference_error(code, ch, trials, seed):
-    # one ml_decode per trial, drawn exactly as monte_carlo_error draws
+    # one reference decode per trial, drawn exactly as monte_carlo_error draws
     secret_errs = word_errs = 0
     for t in range(trials):
         rng = substream(seed, t)
         secret = int(rng.integers(code.bins))
         inner = int(rng.integers(code.words_per_bin))
         y = sample(ch, wb.wyner_encode(code, secret, inner), rng)
-        s_hat, i_hat = wb.ml_decode(code, y, ch)
+        s_hat, i_hat = _reference_ml_decode(code, y, ch)
         secret_errs += s_hat != secret
         word_errs += (s_hat, i_hat) != (secret, inner)
     return secret_errs, word_errs
@@ -65,6 +79,34 @@ def test_monte_carlo_error_matches_per_trial_ml_decode(in_size, rows):
     code = wb.build_code(6, 2, 2, [1.0 / in_size] * in_size, seed=in_size)
     est = wb.monte_carlo_error(code, ch, trials=250, seed=17)
     assert (est.secret_errors, est.word_errors) == _reference_error(code, ch, 250, 17)
+
+
+def test_ml_decode_equals_add_at_scorer():
+    # eight random received words per random code: a third of the channels
+    # have zero entries (LOG_FLOOR scores), a fifth are noiseless, where
+    # repeated codewords and floored scores tie exactly
+    rng = np.random.default_rng(12)
+    for case in range(150):
+        in_size, out_size = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        n = int(rng.integers(2, 7))
+        secret_bits = int(rng.integers(1, 3))
+        random_bits = int(rng.integers(0, 3))
+        if secret_bits + random_bits > n * math.log2(in_size):
+            continue
+        if case % 5 == 0:
+            rows = np.eye(in_size, max(in_size, out_size))
+        else:
+            rows = rng.dirichlet(np.ones(out_size), size=in_size)
+            if case % 3 == 0:
+                rows[rng.random(rows.shape) < 0.3] = 0.0
+                rows[:, 0] += 1e-3
+                rows /= rows.sum(axis=1, keepdims=True)
+        ch = channel_from_rows(rows)
+        code = wb.build_code(n, secret_bits, random_bits, np.full(in_size, 1.0 / in_size), seed=case)
+        for _ in range(8):
+            word = rng.integers(0, ch.out_alphabet.size, n)
+            y = sequence_from_array(word, ch.out_alphabet.size)
+            assert wb.ml_decode(code, y, ch) == _reference_ml_decode(code, y, ch)
 
 
 def test_monte_carlo_error_partial_last_block(monkeypatch):
@@ -143,9 +185,7 @@ def test_cached_row_entropies_are_bitwise_equal():
         p[rng.random(n_in) < 0.3] = 0.0  # skipped rows
         p[0] += 0.1
         p /= p.sum()
-        ent = im._row_entropies(rows).tolist()
-        assert im._mi_raw(p, rows, ent) == _mi_uncached(p, rows)
-        assert im._mi_raw(p, rows) == _mi_uncached(p, rows)
+        assert im.mutual_information(p, channel_from_rows(rows)) == _mi_uncached(p, rows)
 
 
 def test_stacked_mutual_information_is_bitwise_per_row():

@@ -338,6 +338,24 @@ def test_conditional_leakage_identity_leak_equals_w():
     assert rep.sandwich_slack >= -1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+def test_conditional_leakage_mu_gate_rejects_bad_entries(bad):
+    enc = _random_encoder(np.random.default_rng(52), n_states=2, side_size=2)
+    mu = np.full((4, 4), 1.0 / 16)
+    mu[1, 2] = bad
+    with pytest.raises(ValidationError, match="^mu must be a joint probability distribution$"):
+        conditional_leakage(enc, ChannelTriple(bsc(0.1), bsc(0.2)), None, 2, mu)
+
+
+def test_conditional_leakage_checks_budget_before_reading_mu():
+    # a broadcast mu of 2^28 entries costs nothing to build; over budget, its
+    # entries are never read, so the budget error comes first
+    enc = _random_encoder(np.random.default_rng(53), n_states=2, side_size=2)
+    mu = np.broadcast_to(-1.0, (2 ** 14, 2 ** 14))
+    with pytest.raises(BudgetError, match="^joint enumeration needs"):
+        conditional_leakage(enc, ChannelTriple(bsc(0.1), bsc(0.2)), None, 14, mu)
+
+
 def test_conditional_leakage_constant_leak_drops_conditioning():
     rng = np.random.default_rng(51)
     enc = _random_encoder(rng, n_states=1, side_size=2, ignore_side=True)

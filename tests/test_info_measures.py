@@ -168,6 +168,23 @@ def test_oracle_guards():
         secrecy_capacity_oracle(big)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_solvers_check_tolerance_alike(tol):
+    triple = ChannelTriple(bsc(0.05), bsc(0.15))
+    for solve in (
+        lambda: channel_capacity(triple.main, tol=tol),
+        lambda: secrecy_capacity(triple, tol=tol),
+        lambda: gamma(triple, 0.1, tol=tol),
+    ):
+        with pytest.raises(ValidationError, match=f"^tolerance must be positive, got {tol}$"):
+            solve()
+
+
+def test_gamma_rejects_nan_rate():
+    with pytest.raises(ValidationError, match="^rate must be nonnegative, got nan$"):
+        gamma(ChannelTriple(bsc(0.05), bsc(0.15)), math.nan)
+
+
 def test_gamma_at_zero_equals_secrecy_capacity():
     triple = ChannelTriple(bsc(0.08), bsc(0.2))
     cs = secrecy_capacity(triple, tol=1e-10).value
