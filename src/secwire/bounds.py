@@ -49,8 +49,8 @@ class BoundParams:
             raise ValidationError(f"omega must be a positive integer, got {self.omega!r}")
         if not 0.0 <= self.eps_r <= 1.0:
             raise ValidationError(f"eps_r must lie in [0, 1], got {self.eps_r}")
-        if self.eps_s < 0.0:
-            raise ValidationError(f"eps_s must be nonnegative, got {self.eps_s}")
+        if not 0.0 <= self.eps_s < math.inf:
+            raise ValidationError(f"eps_s must be finite and nonnegative, got {self.eps_s}")
         if not 0.0 <= self.eps_n < 1.0:
             raise ValidationError(f"eps_n must lie in [0, 1), got {self.eps_n}")
 

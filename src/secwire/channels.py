@@ -124,13 +124,15 @@ class ChannelTriple:
         object.__setattr__(self, "cascade", cascade(self.main, self.wiretap))
 
 
+def _check_input(size: int, ch: TransitionMatrix) -> None:
+    """Reject inputs over `size` symbols for a channel with another input alphabet."""
+    if size != ch.in_alphabet.size:
+        raise ValidationError(f"input alphabet {size} does not match channel input {ch.in_alphabet.size}")
+
+
 def sample(ch: TransitionMatrix, x: SymbolSequence, seed) -> SymbolSequence:
     """Pass x through the channel memorylessly; deterministic given the seed."""
-    if x.alphabet.size != ch.in_alphabet.size:
-        raise ValidationError(
-            f"input alphabet {x.alphabet.size} does not match channel input "
-            f"{ch.in_alphabet.size}"
-        )
+    _check_input(x.alphabet.size, ch)
     rng = as_rng(seed)
     draws = rng.random(len(x))
     cum = np.cumsum(ch.rows, axis=1)

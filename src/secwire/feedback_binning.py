@@ -10,28 +10,62 @@ ends by i* = ceil((n rho(u|w) + n delta) / r) and the compression ratio is at
 most rho + delta + r/n.
 
 Bin assignment is lazy: a keyed blake2b hash stands in for the shared random
-binning table, so nothing of size alpha^n is ever materialized by the
-encoder. The decoder's list step does enumerate alpha^n candidates and is
-budget-guarded; it skips the scan in rounds whose threshold i r - n delta is
-negative, since n rho_min >= 0 can never meet it.
+binning table, so the encoder never materializes anything of size alpha^n.
+The decoder's list step does enumerate the alpha^n candidates and is
+budget-guarded. It hashes each of them once per assignment, into an int64
+table of bin indices (at most 8 MiB at LIST_BUDGET) built in chunks in the
+first round that scans, and every later round of the session filters that
+table. Rounds whose threshold i r - n delta is negative cannot ACK, since
+n rho_min >= 0, so they hash nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .channels import TransitionMatrix, sample
 from .errors import BudgetError, ValidationError
-from .parsing import conditional_lz_complexity
+from .parsing import _conditional_rate, conditional_lz_complexity
 from .rand import substream
 from .sequences import Alphabet, SymbolSequence
 from .wyner_binning import WynerCode, ml_decode, wyner_encode
 
 LIST_BUDGET = 2 ** 20  # max alpha^n scanned by the decoder
 MAX_BIN_BITS = 512  # one blake2b digest
+
+
+def _check_delta(delta: float, n: int) -> None:
+    # the threshold i*r - n*delta tells consecutive rounds apart only while n*delta < 2^53;
+    # NaN fails the test too
+    if not 0.0 <= n * delta < 2.0 ** 53:
+        raise ValidationError(f"delta must be nonnegative and n * delta below 2^53, got {delta}")
+
+
+def _first_round(ok, start: int, first: int) -> int:
+    """Smallest round i >= first with ok(i), for ok monotone in i, walked from start."""
+    i = max(start, first)
+    while i > first and ok(i - 1):
+        i -= 1
+    while not ok(i):
+        i += 1
+    return i
+
+
+def _candidates(index: np.ndarray, n: int, alpha: int) -> np.ndarray:
+    """Candidates by index, as uint8 rows of base-alpha digits.
+
+    Row k is tuple number index[k] of itertools.product(range(alpha), repeat=n):
+    the digits of index[k], most significant first.
+    """
+    digits = np.empty((index.size, n), dtype=np.uint8)
+    rest = index
+    for j in range(n - 1, -1, -1):
+        rest, digits[:, j] = np.divmod(rest, alpha)
+    return digits
 
 
 @dataclass(frozen=True)
@@ -49,6 +83,7 @@ class BinAssignment:
     _key: bytes = field(init=False, repr=False, compare=False)
     _digest_size: int = field(init=False, repr=False, compare=False)
     _shift: int = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -74,6 +109,33 @@ class BinAssignment:
         digest = hashlib.blake2b(data, key=self._key, digest_size=self._digest_size).digest()
         return int.from_bytes(digest, "big") >> self._shift
 
+    def _bin_table(self) -> np.ndarray:
+        """bin_bits of every length-n candidate in itertools.product order, as int64.
+
+        Built on first use and kept: one keyed blake2b call per candidate,
+        each digest folded big-endian. Callers keep alpha^n within
+        LIST_BUDGET, so an index has at most 20 bits and int64 is exact.
+        Candidates are hashed 2^14 at a time, which bounds the scratch memory
+        beside the table.
+        """
+        if self._table is None:
+            n, alpha = self.n, self.alphabet_size
+            table = np.empty(alpha ** n, dtype=np.int64)
+            blake2b, key, size = hashlib.blake2b, self._key, self._digest_size
+            chunk = 2 ** 14
+            for start in range(0, table.size, chunk):
+                stop = min(start + chunk, table.size)
+                raw = _candidates(np.arange(start, stop), n, alpha).tobytes()
+                cands = [raw[k : k + n] for k in range(0, len(raw), n)]
+                digests = b"".join([blake2b(c, key=key, digest_size=size).digest() for c in cands])
+                cols = np.frombuffer(digests, dtype=np.uint8).reshape(stop - start, size)
+                acc = np.zeros(stop - start, dtype=np.int64)
+                for col in cols.T:
+                    acc = (acc << 8) | col
+                table[start:stop] = acc >> self._shift
+            object.__setattr__(self, "_table", table)
+        return self._table
+
 
 def assign_bins(n: int, alphabet: Alphabet, seed: int) -> BinAssignment:
     return BinAssignment(n=n, alphabet_size=alphabet.size, seed=int(seed))
@@ -93,13 +155,15 @@ def list_decode_step(
     Returns (ack, candidate); the candidate is released only on ACK and ties
     in complexity go to the lexicographically smallest sequence. A round
     whose threshold i*r - n*delta is negative returns (False, None) after
-    validation, without hashing: no complexity is negative.
+    validation, without hashing: no complexity is negative. Survivors come
+    from the assignment's bin table; the candidate released on ACK is
+    hashed once more with bin_bits, the encoder's own hash, so the table
+    cannot release a sequence outside the received bin.
     """
     if i < 1 or r < 1:
         raise ValidationError(f"chunk index and size must be >= 1, got i={i}, r={r}")
-    if delta < 0.0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
     n, alpha = assign.n, assign.alphabet_size
+    _check_delta(delta, n)
     if len(w) != n:
         raise ValidationError(f"side sequence length {len(w)}, expected {n}")
     if alpha ** n > LIST_BUDGET:
@@ -112,18 +176,20 @@ def list_decode_step(
         # n * rho >= 0 for every candidate, so this round cannot ACK
         return False, None
     shift = assign.bits_total - plen
+    survivors = np.flatnonzero(assign._bin_table() >> shift == received_prefix)
     best_rho, best_u = None, None
-    alphabet = Alphabet(alpha)
-    for cand in itertools.product(range(alpha), repeat=n):
-        if assign.bin_bits(cand) >> shift != received_prefix:
-            continue
-        rho = conditional_lz_complexity(SymbolSequence(alphabet, cand), w)
+    omega = w.alphabet.size
+    # ascending table index is lexicographic order, and strict < keeps the first minimum
+    for cand in map(tuple, _candidates(survivors, n, alpha).tolist()):
+        rho = _conditional_rate(cand, w.data, omega)
         if best_rho is None or rho < best_rho:
             best_rho, best_u = rho, cand
     if best_rho is None:
         return False, None
     if n * best_rho <= threshold:
-        return True, SymbolSequence(alphabet, best_u)
+        if assign.bin_bits(best_u) >> shift != received_prefix:
+            raise RuntimeError("bin table disagrees with bin_bits")
+        return True, SymbolSequence(Alphabet(alpha), best_u)
     return False, None
 
 
@@ -198,33 +264,39 @@ def run_session(
     The seed keys the bin assignment only; transports carry their own
     randomness. The round cap is the point where the threshold test accepts
     any nonempty list, a few rounds past L/r; transport corruption that
-    empties the list beyond it ends the session unACKed.
+    empties the list beyond it ends the session unACKed. Rounds past the
+    last bit whose threshold is still negative send nothing and cannot ACK,
+    so the loop jumps over them; n * delta must stay below 2^53.
     """
     if len(u) != len(w):
         raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
     if r < 1:
         raise ValidationError(f"chunk size must be >= 1, got {r}")
-    if delta < 0.0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
     n = len(u)
+    _check_delta(delta, n)
     assign = assign_bins(n, u.alphabet, seed)
     bits_total = assign.bits_total
     b_true = assign.bin_bits(u.data)
     rho_true = conditional_lz_complexity(u, w)
     # same float ops as the ACK test so the stopping guarantee is exact
-    i_star = 1
-    while n * rho_true > i_star * r - n * delta:
-        i_star += 1
+    i_star = _first_round(
+        lambda j: not n * rho_true > j * r - n * delta, math.ceil((n * rho_true + n * delta) / r), 1
+    )
     cap = max(i_star, math.ceil((bits_total + n * delta) / r) + 2)
     prefix = 0
     chunk_errors = 0
     reconstruction = None
     acked = False
     i = 0
-    for i in range(1, cap + 1):
+    while i < cap:
+        i += 1
         lo = (i - 1) * r
         hi = min(i * r, bits_total)
         nbits = max(hi - lo, 0)
+        if nbits == 0 and i * r - n * delta < 0:
+            # no bits left and no ACK possible: both transports return (0, False)
+            # without drawing, so go straight to the first round that can ACK
+            i = min(_first_round(lambda j: j * r - n * delta >= 0, math.ceil(n * delta / r), i), cap)
         sent = (b_true >> (bits_total - hi)) & ((1 << nbits) - 1) if nbits else 0
         received, errored = transport.send_chunk(sent, nbits)
         chunk_errors += bool(errored)

@@ -108,6 +108,22 @@ def prefix_phrase_counts(u: SymbolSequence) -> tuple:
     return tuple(itertools.chain.from_iterable(itertools.repeat(j, b - a) for j, (a, b) in enumerate(spans, 1)))
 
 
+def _w_phrase_counts(spans, w_data) -> dict:
+    """Multiplicity c_l of each w-phrase among the pair spans, keyed in first-appearance order."""
+    counts: dict = {}
+    for a, b in spans:
+        wpart = w_data[a:b]
+        counts[wpart] = counts.get(wpart, 0) + 1
+    return counts
+
+
+def _rate_of_multiplicities(multiplicities, n: int) -> float:
+    total = 0.0
+    for c_l in multiplicities:
+        total += c_l * math.log2(c_l)
+    return total / n
+
+
 def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
     """Parse the pair stream ((u_1,w_1), ..., (u_n,w_n)) and bucket by w-phrase."""
     if len(u) == 0:
@@ -116,28 +132,29 @@ def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
         raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
     omega = w.alphabet.size
     spans, tail = _parse_stream([a * omega + b for a, b in zip(u.data, w.data)])
-    order = []
-    counts: dict = {}
-    for a, b in spans:
-        wpart = w.data[a:b]
-        if wpart not in counts:
-            counts[wpart] = 0
-            order.append(wpart)
-        counts[wpart] += 1
+    counts = _w_phrase_counts(spans, w.data)
     return JointPhraseParse(
         phrases=tuple(spans),
         c_joint=len(spans),
-        w_phrases=tuple((wp, counts[wp]) for wp in order),
-        c_w=len(order),
+        w_phrases=tuple(counts.items()),
+        c_w=len(counts),
         dropped_incomplete=tail is not None,
     )
 
 
 def _conditional_lz_rate(jp: JointPhraseParse, n: int) -> float:
-    total = 0.0
-    for _, c_l in jp.w_phrases:
-        total += c_l * math.log2(c_l)
-    return total / n
+    return _rate_of_multiplicities((c_l for _, c_l in jp.w_phrases), n)
+
+
+def _conditional_rate(u: tuple, w: tuple, omega: int) -> float:
+    """conditional_lz_complexity of equal-length nonempty symbol tuples, w over omega symbols.
+
+    The list decoder's entry point: it builds no SymbolSequence and no
+    JointPhraseParse, and sums c_l log2 c_l in the same first-appearance
+    order, so the rate is bitwise equal.
+    """
+    spans, _ = _parse_stream([a * omega + b for a, b in zip(u, w)])
+    return _rate_of_multiplicities(_w_phrase_counts(spans, w).values(), len(u))
 
 
 def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:

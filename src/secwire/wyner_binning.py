@@ -14,9 +14,12 @@ ML decoding has one scorer, _ml_decisions, for a stack of received words:
 each word's (input, output) pair counts for every codeword come from 0/1
 matrix products, and its scores are those counts times the log-channel.
 ml_decode scores one word. Decoding error is estimated by Monte Carlo over
-the main channel: each trial draws from its own substream, and trials are
-scored in blocks whose pair counts fill at most MC_BLOCK_ENTRIES float64
-entries (a block is never smaller than one trial).
+the main channel: each trial draws from its own substream, and trials run in
+blocks whose pair counts fill at most MC_BLOCK_ENTRIES float64 entries (a
+block is never smaller than one trial). A block looks its codewords up with
+one index and passes them through the channel with one inverse-CDF step, the
+comparison channels.sample makes, so its received words equal sample's
+without a sequence object per trial.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelTriple, TransitionMatrix, sample
+from .channels import ChannelTriple, TransitionMatrix, _check_input
 from .errors import BudgetError, ValidationError
 from .info_measures import check_prob_vector, _entropy_raw, mutual_information, secrecy_capacity
 from .bounds import BoundParams, theorem2_bound
@@ -217,26 +220,34 @@ class DecodeErrorEstimate:
 def monte_carlo_error(code: WynerCode, ch: TransitionMatrix, trials: int, seed: int) -> DecodeErrorEstimate:
     """Estimate ML decoding error over the channel, uniform (secret, inner).
 
-    Trial t draws its secret, inner index and channel output from
-    substream(seed, t), in that order. Received words are decoded in blocks
-    of trials whose pair counts fill at most MC_BLOCK_ENTRIES entries, or
-    one trial's counts if those alone exceed it, by ml_decode's scorer.
+    Trial t draws its secret, inner index and channel uniforms from
+    substream(seed, t), in that order. Trials run in blocks whose pair counts
+    fill at most MC_BLOCK_ENTRIES entries, or one trial's counts if those
+    alone exceed it: a block looks up its codewords, passes them through the
+    channel with one inverse-CDF step (the one sample makes per word) and
+    decodes them with ml_decode's scorer.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_input(code.in_size, ch)
     words = code.bins * code.words_per_bin
     block = max(1, MC_BLOCK_ENTRIES // (words * code.in_size * ch.out_alphabet.size))
+    cum = np.cumsum(ch.rows, axis=1)
     secret_errs = word_errs = 0
     for start in range(0, trials, block):
-        sent, received = [], []
-        for t in range(start, min(start + block, trials)):
-            rng = substream(seed, t)
-            secret = int(rng.integers(code.bins))
-            inner = int(rng.integers(code.words_per_bin))
-            y = sample(ch, wyner_encode(code, secret, inner), rng)
-            sent.append((secret, inner))
-            received.append(y.data)
-        for (secret, inner), (s_hat, i_hat) in zip(sent, _ml_decisions(code, ch, np.array(received))):
+        size = min(block, trials - start)
+        secrets = np.empty(size, dtype=np.int64)
+        inners = np.empty(size, dtype=np.int64)
+        draws = np.empty((size, code.block_len))
+        for k in range(size):
+            rng = substream(seed, start + k)
+            secrets[k] = rng.integers(code.bins)
+            inners[k] = rng.integers(code.words_per_bin)
+            draws[k] = rng.random(code.block_len)
+        x = code.codebook[secrets, inners]
+        received = inverse_cdf_sample(cum[x.ravel()], draws.ravel()).reshape(x.shape)
+        decisions = _ml_decisions(code, ch, received)
+        for secret, inner, (s_hat, i_hat) in zip(secrets.tolist(), inners.tolist(), decisions):
             if s_hat != secret:
                 secret_errs += 1
             if (s_hat, i_hat) != (secret, inner):

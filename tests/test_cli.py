@@ -250,6 +250,36 @@ def test_feedback_csv_rows(tmp_path, capsys):
     assert "session" in rows[0]
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_feedback_bad_delta_exits_2(tmp_path, capsys, delta):
+    seq = _write_seq(tmp_path / "u.seq", [0, 1, 1, 0, 1, 0, 0, 1])
+    rc = cli.main(
+        ["feedback", "--seq", seq, "--side", seq,
+         "--r", "3", "--delta", delta, "--sessions", "1", "--seed", "7"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"secwire: validation error: delta must be nonnegative and n * delta below 2^53, got {delta}\n"
+    )
+
+
+@pytest.mark.parametrize("eps_s", ["nan", "inf"])
+def test_bound_bad_eps_s_exits_2(tmp_path, capsys, eps_s):
+    seq = _write_seq(tmp_path / "u.seq", [0, 1, 1, 0, 1, 0, 0, 1])
+    main = _write_bsc(tmp_path / "m.ch", 0.05)
+    wire = _write_bsc(tmp_path / "w.ch", 0.2)
+    rc = cli.main(
+        ["bound", "t1", "--seq", seq, "--main", main, "--wiretap", wire,
+         "--k", "1", "--m", "4", "--eps-s", eps_s]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"secwire: validation error: eps_s must be finite and nonnegative, got {eps_s}\n"
+
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     main = _write_bsc(tmp_path / "m.ch", 0.05)
     wire = _write_bsc(tmp_path / "w.ch", 0.2)

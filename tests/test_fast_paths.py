@@ -21,7 +21,7 @@ from secwire import info_measures as im
 from secwire import wyner_binning as wb
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, sample, validate
 from secwire.errors import BudgetError, ValidationError
-from secwire.parsing import conditional_lz_complexity
+from secwire.parsing import _conditional_rate, conditional_lz_complexity
 from secwire.rand import substream
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
 
@@ -119,6 +119,50 @@ def test_monte_carlo_error_partial_last_block(monkeypatch):
     monkeypatch.setattr(wb, "MC_BLOCK_ENTRIES", 1)  # less than one trial's counts: blocks of 1
     est = wb.monte_carlo_error(code, ch, trials=20, seed=3)
     assert (est.secret_errors, est.word_errors) == _reference_error(code, ch, 20, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    in_size=st.integers(2, 3),
+    out_size=st.integers(2, 3),
+    n=st.integers(1, 6),
+    secret_bits=st.integers(1, 3),
+    random_bits=st.integers(0, 2),
+    kind=st.sampled_from(["dense", "zeros", "noiseless"]),
+    trials=st.integers(1, 40),
+    block_trials=st.integers(1, 12),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_monte_carlo_error_equals_per_trial_reference(
+    in_size, out_size, n, secret_bits, random_bits, kind, trials, block_trials, seed
+):
+    if secret_bits + random_bits > n * math.log2(in_size):
+        return
+    rng = np.random.default_rng(seed)
+    if kind == "noiseless":
+        rows = np.eye(in_size, max(in_size, out_size))
+    else:
+        rows = rng.dirichlet(np.ones(out_size), size=in_size)
+        if kind == "zeros":
+            rows[rng.random(rows.shape) < 0.4] = 0.0
+            rows[:, -1] += 1e-3
+            rows /= rows.sum(axis=1, keepdims=True)
+    ch = channel_from_rows(rows)
+    code = wb.build_code(n, secret_bits, random_bits, rng.dirichlet(np.ones(in_size)), seed=seed)
+    pairs = code.bins * code.words_per_bin * code.in_size * ch.out_alphabet.size
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wb, "MC_BLOCK_ENTRIES", block_trials * pairs)
+        est = wb.monte_carlo_error(code, ch, trials=trials, seed=seed)
+    assert (est.secret_errors, est.word_errors) == _reference_error(code, ch, trials, seed)
+
+
+def test_monte_carlo_error_rejects_channel_input_mismatch():
+    code = wb.build_code(4, 1, 1, [0.5, 0.5], seed=0)
+    ch = channel_from_rows([[0.8, 0.2], [0.1, 0.9], [0.5, 0.5]])
+    with pytest.raises(ValidationError, match="input alphabet 2 does not match channel input 3"):
+        wb.monte_carlo_error(code, ch, trials=5, seed=1)
+    with pytest.raises(ValidationError, match="trials must be >= 1"):
+        wb.monte_carlo_error(code, ch, trials=0, seed=1)
 
 
 def _whole_codebook_leakage(code, ch):
@@ -820,15 +864,137 @@ def test_list_decode_step_equals_full_scan(n, alpha, r, delta):
 
 
 def test_list_decode_step_skips_hashing_when_threshold_negative(monkeypatch):
+    # the bin table is hashed once per assignment, in the first round that scans;
+    # a round that ACKs hashes its released candidate once more
     assign = fb.BinAssignment(n=8, alphabet_size=2, seed=3)
     w = SymbolSequence(Alphabet(2), (0, 1) * 4)
     calls = []
-    real = fb.BinAssignment.bin_bits
-    monkeypatch.setattr(fb.BinAssignment, "bin_bits", lambda self, c: calls.append(c) or real(self, c))
+    real = hashlib.blake2b
+    monkeypatch.setattr(hashlib, "blake2b", lambda *a, **k: calls.append(a) or real(*a, **k))
     assert fb.list_decode_step(assign, w, 1, 1, 2, 0.5) == (False, None)  # 2 - 4 < 0
     assert calls == []
-    fb.list_decode_step(assign, w, 1, 2, 2, 0.5)  # 4 - 4 = 0: a full scan
-    assert len(calls) == 2 ** 8
+    first = fb.list_decode_step(assign, w, 1, 2, 2, 0.5)  # 4 - 4 = 0: a full scan
+    assert len(calls) == 2 ** 8 + first[0]
+    calls.clear()
+    assert fb.list_decode_step(assign, w, 1, 2, 2, 0.5) == first
+    assert len(calls) == first[0]
+    calls.clear()
+    later = fb.list_decode_step(assign, w, 5, 3, 2, 0.5)
+    assert later[0] and calls == [(bytes(later[1].data),)]
+
+
+def test_list_decode_step_checks_released_candidate_against_bin_bits():
+    assign = fb.BinAssignment(n=6, alphabet_size=2, seed=4)
+    u = SymbolSequence(Alphabet(2), (0, 1, 1, 0, 1, 0))
+    prefix = assign.bin_bits(u.data)
+    assert fb.list_decode_step(assign, u, prefix, 3, 2, 0.0) == (True, u)
+    table = assign._bin_table().copy()
+    table[table == prefix] ^= 1  # a table that puts every candidate of u's bin elsewhere
+    table[0] = prefix
+    object.__setattr__(assign, "_table", table)
+    with pytest.raises(RuntimeError, match="bin table disagrees with bin_bits"):
+        fb.list_decode_step(assign, u, prefix, 3, 2, 0.0)
+
+
+@pytest.mark.parametrize("n, alpha, seed", [(1, 2, 0), (12, 2, 2 ** 40), (12, 3, -5), (2, 256, 2 ** 63 - 1)])
+def test_bin_table_equals_bin_bits(n, alpha, seed):
+    # (12, 3) has a 3-byte digest and spans 33 hashing chunks
+    assign = fb.BinAssignment(n=n, alphabet_size=alpha, seed=seed)
+    table = assign._bin_table()
+    assert table.dtype == np.int64
+    assert table.tolist() == [assign.bin_bits(c) for c in itertools.product(range(alpha), repeat=n)]
+    assert assign._bin_table() is table
+
+
+def test_bin_table_memory_is_bounded():
+    # the 2^16-entry table takes 512 KiB; hashing every candidate in one step
+    # would hold about 19 MiB of digests and candidate rows besides
+    assign = fb.BinAssignment(n=16, alphabet_size=2, seed=1)
+    tracemalloc.start()
+    try:
+        assign._bin_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("n, alpha, seed", [(1, 2, 0), (6, 2, 1), (8, 2, 2), (4, 3, 3), (5, 3, 4), (3, 5, 5)])
+def test_conditional_rate_equals_conditional_lz_complexity(n, alpha, seed):
+    rng = np.random.default_rng(seed)
+    for omega in (1, 2, alpha):
+        w = SymbolSequence(Alphabet(omega), tuple(int(v) for v in rng.integers(0, omega, n)))
+        for cand in itertools.product(range(alpha), repeat=n):
+            want = conditional_lz_complexity(SymbolSequence(Alphabet(alpha), cand), w)
+            assert _conditional_rate(cand, w.data, omega) == want
+
+
+def _frozen_run_session(u, w, r, delta, transport, seed):
+    # run_session before the round jumps: one round at a time, every round
+    # decoded by the full scan
+    n = len(u)
+    assign = fb.assign_bins(n, u.alphabet, seed)
+    bits_total = assign.bits_total
+    b_true = assign.bin_bits(u.data)
+    rho_true = conditional_lz_complexity(u, w)
+    i_star = 1
+    while n * rho_true > i_star * r - n * delta:
+        i_star += 1
+    cap = max(i_star, math.ceil((bits_total + n * delta) / r) + 2)
+    prefix = chunk_errors = 0
+    reconstruction, acked, i = None, False, 0
+    for i in range(1, cap + 1):
+        lo, hi = (i - 1) * r, min(i * r, bits_total)
+        nbits = max(hi - lo, 0)
+        sent = (b_true >> (bits_total - hi)) & ((1 << nbits) - 1) if nbits else 0
+        received, errored = transport.send_chunk(sent, nbits)
+        chunk_errors += bool(errored)
+        prefix = (prefix << nbits) | received
+        acked, candidate = _full_scan_step(assign, w, prefix, i, r, delta)
+        if acked:
+            reconstruction = candidate
+            break
+    return (
+        i, i_star, reconstruction.data if reconstruction else None, acked, chunk_errors,
+        i * r / n, reconstruction is not None and reconstruction.data == u.data,
+    )
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 2.0, 5.0])
+def test_run_session_equals_frozen_loop(delta):
+    code = wb.build_code(6, 2, 1, [0.5, 0.5], seed=2)
+    rng = np.random.default_rng(int(delta * 10))
+    for case in range(6):
+        u = tuple(int(v) for v in rng.integers(0, 2, 8))
+        w = tuple(v ^ int(rng.random() < 0.25) for v in u)
+        u, w = SymbolSequence(Alphabet(2), u), SymbolSequence(Alphabet(2), w)
+        for r, transport in ((3, fb.IdealTransport), (2, lambda: fb.CodedTransport(code, bsc(0.2), seed=case))):
+            t = fb.run_session(u, w, r, delta, transport(), seed=case)
+            got = (
+                t.chunks_sent, t.i_star, t.reconstruction.data if t.reconstruction else None, t.acked,
+                t.chunk_error_count, t.compression_ratio, t.correct,
+            )
+            assert got == _frozen_run_session(u, w, r, delta, transport(), case)
+
+
+def test_run_session_with_huge_delta_returns():
+    # 4e9 rounds after the last bit; the skipped ones carry nothing and cannot ACK
+    u = SymbolSequence(Alphabet(2), (0, 1, 1, 0, 1, 0, 0, 1))
+    w = SymbolSequence(Alphabet(2), (0, 1, 0, 0, 1, 0, 0, 1))
+    t = fb.run_session(u, w, 2, 1e9, fb.IdealTransport(), seed=4)
+    assert t.acked
+    assert 4 < t.chunks_sent <= t.i_star
+    assert not 8 * conditional_lz_complexity(u, w) > t.i_star * 2 - 8 * 1e9
+    assert 8 * conditional_lz_complexity(u, w) > (t.i_star - 1) * 2 - 8 * 1e9
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, 1e300, -0.5])
+def test_feedback_rejects_bad_delta(delta):
+    u = SymbolSequence(Alphabet(2), (0, 1, 1, 0))
+    with pytest.raises(ValidationError, match="delta"):
+        fb.run_session(u, u, 2, delta, fb.IdealTransport(), seed=0)
+    with pytest.raises(ValidationError, match="delta"):
+        fb.list_decode_step(fb.assign_bins(4, Alphabet(2), 0), u, 0, 1, 2, delta)
 
 
 def test_list_decode_step_validates_in_rounds_that_cannot_ack():
