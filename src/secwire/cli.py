@@ -10,6 +10,7 @@ exceeded, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -26,6 +27,7 @@ from . import report as rp
 from . import sequences as sq
 from . import wyner_binning as wb
 from .errors import BudgetError, ValidationError
+from .rand import check_seed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,6 +219,7 @@ def _params(args, alpha: int, omega: int) -> bd.BoundParams:
 
 def _cmd_simulate(args) -> int:
     doc = _config(args, "simulate")
+    check_seed(args.seed)
     enc = fc.load_fsm(args.enc)
     dec = fc.load_fsm(args.dec)
     if not isinstance(enc, fc.StochasticEncoderSpec):
@@ -270,6 +273,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_wyner(args) -> int:
     doc = _config(args, "wyner")
+    check_seed(args.seed)
     triple = _load_triple(args)
     in_size = triple.main.in_alphabet.size
     if args.dist:
@@ -324,6 +328,7 @@ def _cmd_wyner(args) -> int:
 
 def _cmd_feedback(args) -> int:
     doc = _config(args, "feedback")
+    check_seed(args.seed)
     u = sq.load_sequence(args.seq)
     w = sq.load_sequence(args.side)
     if args.coded:
@@ -470,9 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first main call and reused by later ones."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValidationError as exc:

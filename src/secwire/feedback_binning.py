@@ -15,8 +15,11 @@ The decoder's list step does enumerate the alpha^n candidates and is
 budget-guarded. It hashes each of them once per assignment, into an int64
 table of bin indices (at most 8 MiB at LIST_BUDGET) built in chunks in the
 first round that scans, and every later round of the session filters that
-table. Rounds whose threshold i r - n delta is negative cannot ACK, since
-n rho_min >= 0, so they hash nothing.
+table. Every hash, the encoder's and the table's, copies a keyed blake2b
+object (_keyed_digest), which costs less than keying a new one per input;
+the table copies one such template per candidate. Rounds whose threshold
+i r - n delta is negative cannot ACK, since n rho_min >= 0, so they hash
+nothing.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ def _candidates(index: np.ndarray, n: int, alpha: int) -> np.ndarray:
     return digits
 
 
+def _keyed_digest(template, data: bytes) -> bytes:
+    """Digest of data under a keyed blake2b template; the template is left unchanged."""
+    h = template.copy()
+    h.update(data)
+    return h.digest()
+
+
 @dataclass(frozen=True)
 class BinAssignment:
     """Keyed-hash bin assignment for sequences of length n over a fixed alphabet.
@@ -101,33 +111,35 @@ class BinAssignment:
         object.__setattr__(self, "_digest_size", digest_size)
         object.__setattr__(self, "_shift", 8 * digest_size - bits)
 
+    def _hasher(self):
+        """This assignment's keyed blake2b, with nothing hashed yet."""
+        return hashlib.blake2b(key=self._key, digest_size=self._digest_size)
+
     def bin_bits(self, symbols) -> int:
         """L-bit bin index of the given length-n symbol tuple."""
         data = bytes(symbols)
         if len(data) != self.n:
             raise ValidationError(f"sequence length {len(data)}, expected {self.n}")
-        digest = hashlib.blake2b(data, key=self._key, digest_size=self._digest_size).digest()
-        return int.from_bytes(digest, "big") >> self._shift
+        return int.from_bytes(_keyed_digest(self._hasher(), data), "big") >> self._shift
 
     def _bin_table(self) -> np.ndarray:
         """bin_bits of every length-n candidate in itertools.product order, as int64.
 
-        Built on first use and kept: one keyed blake2b call per candidate,
-        each digest folded big-endian. Callers keep alpha^n within
-        LIST_BUDGET, so an index has at most 20 bits and int64 is exact.
-        Candidates are hashed 2^14 at a time, which bounds the scratch memory
-        beside the table.
+        Built on first use and kept: one keyed blake2b template per table,
+        copied per candidate, each digest folded big-endian. Callers keep
+        alpha^n within LIST_BUDGET, so an index has at most 20 bits and int64
+        is exact. Candidates are hashed 2^14 at a time, which bounds the
+        scratch memory beside the table; no hash object outlives its digest.
         """
         if self._table is None:
             n, alpha = self.n, self.alphabet_size
             table = np.empty(alpha ** n, dtype=np.int64)
-            blake2b, key, size = hashlib.blake2b, self._key, self._digest_size
+            template, digest, size = self._hasher(), _keyed_digest, self._digest_size
             chunk = 2 ** 14
             for start in range(0, table.size, chunk):
                 stop = min(start + chunk, table.size)
                 raw = _candidates(np.arange(start, stop), n, alpha).tobytes()
-                cands = [raw[k : k + n] for k in range(0, len(raw), n)]
-                digests = b"".join([blake2b(c, key=key, digest_size=size).digest() for c in cands])
+                digests = b"".join([digest(template, raw[k : k + n]) for k in range(0, len(raw), n)])
                 cols = np.frombuffer(digests, dtype=np.uint8).reshape(stop - start, size)
                 acc = np.zeros(stop - start, dtype=np.int64)
                 for col in cols.T:

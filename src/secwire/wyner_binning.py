@@ -13,13 +13,19 @@ checked against the whole-codebook count before anything is allocated.
 ML decoding has one scorer, _ml_decisions, for a stack of received words:
 each word's (input, output) pair counts for every codeword come from 0/1
 matrix products, and its scores are those counts times the log-channel.
-ml_decode scores one word. Decoding error is estimated by Monte Carlo over
-the main channel: each trial draws from its own substream, and trials run in
-blocks whose pair counts fill at most MC_BLOCK_ENTRIES float64 entries (a
-block is never smaller than one trial). A block looks its codewords up with
-one index and passes them through the channel with one inverse-CDF step, the
-comparison channels.sample makes, so its received words equal sample's
-without a sequence object per trial.
+The codebook's 0/1 matrices and the log-channel (_ml_scorer) are built once
+per ml_decode or monte_carlo_error call. ml_decode scores one word.
+
+Decoding error is estimated by Monte Carlo over the main channel. Trial t
+draws from substream(seed, t), read through the block-trial sampler in rand
+(_substream_draws): it returns what that generator's integers and random
+calls would, from raw PCG64 words, without a Generator per trial; a property
+test pins it to substream itself. Trials run in blocks whose pair counts
+fill at most MC_BLOCK_ENTRIES float64 entries (a block is never smaller
+than one trial). A block looks its codewords up with one index, passes them
+through the channel with one inverse-CDF step, the comparison
+channels.sample makes, so its received words equal sample's without a
+sequence object per trial, and tallies its errors with array comparisons.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from .info_measures import check_prob_vector, _entropy_raw, mutual_information, 
 from .bounds import BoundParams, theorem2_bound
 from .fsm_codec import ENUMERATION_BUDGET
 from .parsing import lz_complexity, prefix_phrase_counts
-from .rand import as_rng, inverse_cdf_sample, substream
+from .rand import _substream_draws, as_rng, inverse_cdf_sample
 from .sequences import Alphabet, SymbolSequence
 
 # finite stand-in for log 0 so impossible codewords compare exactly
@@ -129,26 +135,34 @@ def ml_decode(code: WynerCode, y: SymbolSequence, ch: TransitionMatrix) -> tuple
             f"received alphabet {y.alphabet.size} does not match channel output "
             f"{ch.out_alphabet.size}"
         )
-    return _ml_decisions(code, ch, y.array()[None])[0]
+    best = _ml_decisions(*_ml_scorer(code, ch), y.array()[None])
+    return divmod(int(best[0]), code.words_per_bin)
 
 
-def _ml_decisions(code: WynerCode, ch: TransitionMatrix, ys: np.ndarray) -> list:
-    """Maximum-likelihood (secret, inner) for every received word ys[t].
+def _ml_scorer(code: WynerCode, ch: TransitionMatrix) -> tuple:
+    """The code- and channel-side inputs of _ml_decisions, built once per call.
 
-    Each word's scores are its _pair_counts matrix times the log-channel, one
-    2-D product per word, so a word's decision does not depend on the others.
+    Returns the codebook's 0/1 position matrices, one (N, codewords) matrix
+    per input symbol, and the log-channel with LOG_FLOOR for log 0.
     """
     flat_cw = code.codebook.reshape(-1, code.block_len)
     x_onehot = [(flat_cw == a).astype(float).T for a in range(code.in_size)]
-    logch = _log_channel(ch)
-    counts = _pair_counts(x_onehot, ys, ch.out_alphabet.size)
-    return [divmod(int(np.argmax(c @ logch)), code.words_per_bin) for c in counts]
-
-
-def _log_channel(ch: TransitionMatrix) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logch = np.log2(ch.rows).ravel()
-    return np.where(np.isfinite(logch), logch, LOG_FLOOR)
+    return x_onehot, np.where(np.isfinite(logch), logch, LOG_FLOOR)
+
+
+def _ml_decisions(x_onehot: list, logch: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """ML codeword of every received word ys[t], as its flat index secret * words_per_bin + inner.
+
+    x_onehot and logch come from _ml_scorer; logch holds in_size * out_size
+    entries. A word's scores are its _pair_counts matrix times the
+    log-channel. The stacked product runs one matrix-vector product per
+    word, the same one a single word's counts @ logch runs, so a word's
+    decision does not depend on the others; argmax keeps the first maximum.
+    """
+    counts = _pair_counts(x_onehot, ys, logch.size // len(x_onehot))
+    return np.argmax(counts @ logch, axis=1)
 
 
 def _pair_counts(x_onehot: list, ys: np.ndarray, out_size: int) -> np.ndarray:
@@ -221,37 +235,30 @@ def monte_carlo_error(code: WynerCode, ch: TransitionMatrix, trials: int, seed: 
     """Estimate ML decoding error over the channel, uniform (secret, inner).
 
     Trial t draws its secret, inner index and channel uniforms from
-    substream(seed, t), in that order. Trials run in blocks whose pair counts
-    fill at most MC_BLOCK_ENTRIES entries, or one trial's counts if those
-    alone exceed it: a block looks up its codewords, passes them through the
-    channel with one inverse-CDF step (the one sample makes per word) and
-    decodes them with ml_decode's scorer.
+    substream(seed, t), in that order, through the block-trial sampler. Trials
+    run in blocks whose pair counts fill at most MC_BLOCK_ENTRIES entries, or
+    one trial's counts if those alone exceed it: a block looks up its
+    codewords, passes them through the channel with one inverse-CDF step (the
+    one sample makes per word) and decodes them with ml_decode's scorer,
+    built once per call. A negative seed, or more than 2^32 trials, raises
+    ValidationError.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     _check_input(code.in_size, ch)
-    words = code.bins * code.words_per_bin
-    block = max(1, MC_BLOCK_ENTRIES // (words * code.in_size * ch.out_alphabet.size))
+    words_per_bin = code.words_per_bin
+    block = max(1, MC_BLOCK_ENTRIES // (code.bins * words_per_bin * code.in_size * ch.out_alphabet.size))
+    scorer = _ml_scorer(code, ch)
     cum = np.cumsum(ch.rows, axis=1)
+    bits = (code.secret_bits, code.random_bits)
     secret_errs = word_errs = 0
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        secrets = np.empty(size, dtype=np.int64)
-        inners = np.empty(size, dtype=np.int64)
-        draws = np.empty((size, code.block_len))
-        for k in range(size):
-            rng = substream(seed, start + k)
-            secrets[k] = rng.integers(code.bins)
-            inners[k] = rng.integers(code.words_per_bin)
-            draws[k] = rng.random(code.block_len)
+    for ints, draws in _substream_draws(seed, 0, trials, block, bits, code.block_len):
+        secrets, inners = ints.T
         x = code.codebook[secrets, inners]
         received = inverse_cdf_sample(cum[x.ravel()], draws.ravel()).reshape(x.shape)
-        decisions = _ml_decisions(code, ch, received)
-        for secret, inner, (s_hat, i_hat) in zip(secrets.tolist(), inners.tolist(), decisions):
-            if s_hat != secret:
-                secret_errs += 1
-            if (s_hat, i_hat) != (secret, inner):
-                word_errs += 1
+        best = _ml_decisions(*scorer, received)
+        secret_errs += int(np.count_nonzero(best // words_per_bin != secrets))
+        word_errs += int(np.count_nonzero(best != secrets * words_per_bin + inners))
     return DecodeErrorEstimate(trials=trials, secret_errors=secret_errs, word_errors=word_errs)
 
 

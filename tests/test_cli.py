@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import secwire
 from secwire import (
     Alphabet,
     DecoderSpec,
@@ -359,3 +365,62 @@ def test_threads_env_echoed_and_validated(tmp_path, capsys, monkeypatch):
     assert "SECWIRE_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("SECWIRE_THREADS", "0")
     assert cli.main(["parse", "--seq", seq]) == 2
+
+
+def _seeded_argvs(tmp_path, seed):
+    main = _write_bsc(tmp_path / "m.ch", 0.05)
+    wire = _write_bsc(tmp_path / "w.ch", 0.2)
+    u = _write_seq(tmp_path / "u.seq", (0, 1, 1, 0, 1, 0))
+    w = _write_seq(tmp_path / "w.seq", (0, 1, 0, 0, 1, 0))
+    enc, dec = _identity_fsm_files(tmp_path)
+    return {
+        "wyner": [
+            "wyner", "--N", "4", "--secret-bits", "1", "--random-bits", "1",
+            "--main", main, "--wiretap", wire, "--trials", "20", "--seed", seed,
+        ],
+        "feedback": [
+            "feedback", "--seq", u, "--side", w, "--r", "2", "--delta", "0.5",
+            "--sessions", "2", "--seed", seed,
+        ],
+        "simulate": [
+            "simulate", "--enc", enc, "--dec", dec, "--main", main, "--wiretap", wire,
+            "--seq", u, "--trials", "3", "--seed", seed,
+        ],
+    }
+
+
+@pytest.mark.parametrize("command", ["wyner", "feedback", "simulate"])
+def test_negative_seed_exits_2(tmp_path, capsys, command):
+    assert cli.main(_seeded_argvs(tmp_path, "-1")[command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "secwire: validation error: seed must be a non-negative integer, got -1\n"
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path):
+    # main builds its parser once; calls after a usage error and after other
+    # subcommands give what a fresh process gives for each of them
+    argvs = _seeded_argvs(tmp_path, "3")
+    sequence = [
+        ["wyner", "--N", "4"],
+        argvs["wyner"],
+        argvs["feedback"],
+        ["parse", "--seq", argvs["feedback"][2], "--phrases"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(secwire.__file__).resolve().parents[1]))
+    for argv in sequence:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "secwire.cli", *argv], capture_output=True, text=True, env=env, check=False
+        )
+        assert _run_in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert _run_in_process(sequence[0])[0] == 64

@@ -18,6 +18,7 @@ from secwire import bounds as bd
 from secwire import feedback_binning as fb
 from secwire import fsm_codec as fc
 from secwire import info_measures as im
+from secwire import rand
 from secwire import wyner_binning as wb
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, sample, validate
 from secwire.errors import BudgetError, ValidationError
@@ -156,6 +157,41 @@ def test_monte_carlo_error_equals_per_trial_reference(
     assert (est.secret_errors, est.word_errors) == _reference_error(code, ch, trials, seed)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    in_size=st.integers(2, 3),
+    out_size=st.integers(2, 4),
+    n=st.integers(1, 6),
+    random_bits=st.integers(0, 3),
+    kind=st.sampled_from(["dense", "zeros", "noiseless"]),
+    words=st.integers(1, 40),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_stacked_scores_equal_per_word_products(in_size, out_size, n, random_bits, kind, words, seed):
+    # one stacked counts @ logch gives each word's c @ logch bit for bit, and
+    # argmax(axis=1) the first maximum of each; repeated codewords, noiseless
+    # channels and LOG_FLOOR entries make exact ties
+    if 1 + random_bits > n * math.log2(in_size):
+        return
+    rng = np.random.default_rng(seed)
+    if kind == "noiseless":
+        rows = np.eye(in_size, max(in_size, out_size))
+    else:
+        rows = rng.dirichlet(np.ones(out_size), size=in_size)
+        if kind == "zeros":
+            rows[rng.random(rows.shape) < 0.4] = 0.0
+            rows[:, -1] += 1e-3
+            rows /= rows.sum(axis=1, keepdims=True)
+    ch = channel_from_rows(rows)
+    code = wb.build_code(n, 1, random_bits, np.full(in_size, 1.0 / in_size), seed=seed)
+    x_onehot, logch = wb._ml_scorer(code, ch)
+    ys = rng.integers(0, ch.out_alphabet.size, (words, n))
+    counts = wb._pair_counts(x_onehot, ys, ch.out_alphabet.size)
+    per_word = [c @ logch for c in counts]
+    assert np.array_equal(counts @ logch, np.stack(per_word))
+    assert wb._ml_decisions(x_onehot, logch, ys).tolist() == [int(np.argmax(v)) for v in per_word]
+
+
 def test_monte_carlo_error_rejects_channel_input_mismatch():
     code = wb.build_code(4, 1, 1, [0.5, 0.5], seed=0)
     ch = channel_from_rows([[0.8, 0.2], [0.1, 0.9], [0.5, 0.5]])
@@ -163,6 +199,63 @@ def test_monte_carlo_error_rejects_channel_input_mismatch():
         wb.monte_carlo_error(code, ch, trials=5, seed=1)
     with pytest.raises(ValidationError, match="trials must be >= 1"):
         wb.monte_carlo_error(code, ch, trials=0, seed=1)
+
+
+# -- block-trial sampler --------------------------------------------------
+
+# seeds of one to three 32-bit entropy words, with the word edges; 2^96 and
+# 2^128 make the trial index a fifth or sixth word, past SeedSequence's pool
+SEEDS = st.one_of(
+    st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64, 2 ** 96 - 1, 2 ** 96, 2 ** 128]),
+    st.integers(0, 2 ** 96 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=SEEDS,
+    start=st.one_of(st.just(0), st.integers(0, 100), st.integers(2 ** 32 - 40, 2 ** 32 - 20)),
+    count=st.integers(0, 20),
+    block=st.integers(1, 7),
+    seed_chunk=st.integers(1, 9),
+    b=st.integers(0, 32),
+    c=st.integers(0, 32),
+    size=st.integers(0, 64),
+)
+def test_substream_draws_equal_substream(seed, start, count, block, seed_chunk, b, c, size):
+    # small blocks and mixing chunks make the range cross both kinds of edge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rand, "SEED_CHUNK", seed_chunk)
+        blocks = list(rand._substream_draws(seed, start, start + count, block, (b, c), size))
+    assert [len(ints) for ints, _ in blocks] == [min(block, count - k) for k in range(0, count, block)]
+    t = start
+    for ints, uniforms in blocks:
+        assert ints.dtype == np.int64 and uniforms.dtype == np.float64
+        assert uniforms.shape == (len(ints), size)
+        for row, row_u in zip(ints.tolist(), uniforms.tolist()):
+            rng = substream(seed, t)
+            assert row == [int(rng.integers(2 ** b)), int(rng.integers(2 ** c))]
+            assert row_u == rng.random(size).tolist()
+            t += 1
+    assert t == start + count
+
+
+def test_substream_words_equal_raw_words_at_the_trial_limit():
+    # the last trial index the sampler takes is 2^32 - 1; 2^32 would need a
+    # second entropy word and is rejected before anything is drawn
+    for seed in (0, 5, 2 ** 64):
+        (words,) = rand._substream_words(seed, 2 ** 32 - 3, 2 ** 32, 3, 4)
+        for row, t in zip(words.tolist(), range(2 ** 32 - 3, 2 ** 32)):
+            assert row == substream(seed, t).bit_generator.random_raw(4).tolist()
+    with pytest.raises(ValidationError, match="trial range"):
+        rand._substream_words(0, 2 ** 32 - 1, 2 ** 32 + 1, 1, 1)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        rand._substream_words(-1, 0, 1, 1, 1)
+    with pytest.raises(ValidationError, match="integer draws take 0 to 32 bits"):
+        rand._substream_draws(0, 0, 1, 1, (33,), 1)
+    code = wb.build_code(4, 1, 1, [0.5, 0.5], seed=0)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        wb.monte_carlo_error(code, bsc(0.1), trials=5, seed=-3)
 
 
 def _whole_codebook_leakage(code, ch):
@@ -865,12 +958,13 @@ def test_list_decode_step_equals_full_scan(n, alpha, r, delta):
 
 def test_list_decode_step_skips_hashing_when_threshold_negative(monkeypatch):
     # the bin table is hashed once per assignment, in the first round that scans;
-    # a round that ACKs hashes its released candidate once more
+    # a round that ACKs hashes its released candidate once more. calls holds
+    # one (data,) per candidate hashed, by the table or by bin_bits
     assign = fb.BinAssignment(n=8, alphabet_size=2, seed=3)
     w = SymbolSequence(Alphabet(2), (0, 1) * 4)
     calls = []
-    real = hashlib.blake2b
-    monkeypatch.setattr(hashlib, "blake2b", lambda *a, **k: calls.append(a) or real(*a, **k))
+    real = fb._keyed_digest
+    monkeypatch.setattr(fb, "_keyed_digest", lambda template, data: calls.append((data,)) or real(template, data))
     assert fb.list_decode_step(assign, w, 1, 1, 2, 0.5) == (False, None)  # 2 - 4 < 0
     assert calls == []
     first = fb.list_decode_step(assign, w, 1, 2, 2, 0.5)  # 4 - 4 = 0: a full scan
