@@ -15,7 +15,8 @@ left. Each entry is thus the left-to-right product of its chunk kernels,
 bit for bit what a per-row np.kron chain gives. The induced channel is its
 side_size == 1 slice. Budgets are checked before anything is allocated; peak
 memory is the output plus the previous level and its gathered kernels, each
-a fraction of the output.
+a fraction of the output. Leakage given W-dot^n, a memoryless noisy copy of
+W^n, applies the one-letter leak channel to one side position at a time.
 
 FSM file grammar (plain text, # comments allowed). Encoders and decoders
 share one grammar: the kind, the scalars (input alphabet before output
@@ -42,6 +43,7 @@ or ``beta`` in a decoder, ``out`` or ``gamma`` in an encoder) is an error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -314,8 +316,7 @@ class SimulationStats:
     worst_chunk_error takes the maximum, covering both readings of the
     per-chunk fidelity criterion. empirical_joint, when collected, maps
     (u_blk, w_blk, x_blk, y_blk, z_blk, s_enc, s_dec) index tuples to
-    empirical frequencies. leakage_bits is attached by callers that run the
-    exact accounting.
+    empirical frequencies.
     """
 
     trials: int
@@ -324,7 +325,6 @@ class SimulationStats:
     per_chunk_error: tuple
     worst_chunk_error: float
     empirical_joint: dict | None = None
-    leakage_bits: float | None = None
 
 
 def simulate_system(
@@ -430,16 +430,9 @@ def _check_system(enc, dec, triple: ChannelTriple) -> None:
         raise ValidationError("encoder and decoder disagree on (k, m, source alphabet)")
 
 
-def _kron_power(rows: np.ndarray, times: int) -> np.ndarray:
-    out = rows
-    for _ in range(times - 1):
-        out = np.kron(out, rows)
-    return out
-
-
 def _chunk_kernels(enc: StochasticEncoderSpec, triple: ChannelTriple) -> np.ndarray:
     """G[s, u_blk, w_blk, z_blk]: one-chunk law of Z^m given input and state."""
-    casc_m = _kron_power(triple.cascade.rows, enc.m)
+    casc_m = functools.reduce(np.kron, [triple.cascade.rows] * enc.m)
     z_blocks = casc_m.shape[1]
     out = np.zeros((enc.n_states, enc.u_blocks, enc.w_blocks, z_blocks))
     for (s, ui, wi), dist in enc.emit.items():
@@ -528,43 +521,41 @@ def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> 
     return level
 
 
-def _leak_rows(enc: StochasticEncoderSpec, leak_channel: TransitionMatrix | None) -> np.ndarray:
+def _leak_rows(enc, triple: ChannelTriple, leak_channel: TransitionMatrix | None, n: int) -> np.ndarray:
     """Rows of the one-letter leak channel W -> W-dot; None means W-dot = W.
 
-    Its n-fold power is built by _leak_power, after the budget checks.
+    Validates the channel, then raises BudgetError when G3 or the (u^n,
+    w-dot^n, z^N) joint would exceed the budget, G3 first. Every array
+    _leakage_report makes lies in size between the two.
     """
-    side = Alphabet(enc.side_size)
     if leak_channel is None:
-        leak_channel = TransitionMatrix(side, side, np.eye(side.size))
-    if leak_channel.in_alphabet.size != side.size:
+        leak = np.eye(enc.side_size)
+    elif leak_channel.in_alphabet.size != enc.side_size:
         raise ValidationError(
             f"leak channel input {leak_channel.in_alphabet.size} does not match side alphabet "
-            f"{side.size}"
+            f"{enc.side_size}"
         )
-    return leak_channel.rows
-
-
-def _leak_power(enc, triple: ChannelTriple, leak: np.ndarray, n: int) -> np.ndarray:
-    """The n-fold leak channel, built only once every leakage array fits the budget.
-
-    Checks G3 first, as _enumerate_g3 does, then the power itself (w^n x
-    w-dot^n) and the (u^n, w-dot^n, z^N) joint it is contracted into.
-    """
+    else:
+        leak = leak_channel.rows
     u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
-    dot_total = leak.shape[1] ** n
     for what, entries in (
         ("joint enumeration", u_total * w_total * z_total),
-        ("n-fold leak channel", w_total * dot_total),
-        ("leaked-side joint", u_total * dot_total * z_total),
+        ("leaked-side joint", u_total * leak.shape[1] ** n * z_total),
     ):
         if entries > ENUMERATION_BUDGET:
             raise BudgetError(f"{what} needs {entries} entries, budget {ENUMERATION_BUDGET}")
-    return _kron_power(leak, n)
+    return leak
 
 
-def _leakage_report(enc, g3: np.ndarray, leak_n: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
+def _leakage_report(enc, g3: np.ndarray, n: int, leak: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
     p_uwz = mu_arr[:, :, None] * g3
-    p_udz = np.einsum("uwz,wd->udz", p_uwz, leak_n)
+    u_total, _, z_total = p_uwz.shape
+    # one axis per side position, each mapped in place through the one-letter leak channel
+    p_udz = p_uwz.reshape((u_total,) + (leak.shape[0],) * n + (z_total,))
+    for axis in range(1, n + 1):
+        p_udz = np.moveaxis(np.tensordot(p_udz, leak, axes=(axis, 0)), -1, axis)
+    # in C order, as p_uwz is: with W-dot = W the two conditional sums then agree bit for bit
+    p_udz = np.ascontiguousarray(p_udz).reshape(u_total, -1, z_total)
     return LeakageReport(
         i_uz=mutual_information_from_joint(p_uwz.sum(axis=1)),
         i_uz_given_w=conditional_mutual_information(np.transpose(p_uwz, (0, 2, 1))),
@@ -586,8 +577,9 @@ def conditional_leakage(
     side_size^n); a 1-D mu is accepted for plain encoders. leak_channel maps
     the side alphabet to the eavesdropper's degraded view W-dot; None means
     W-dot = W. Raises BudgetError, before allocating anything or reading
-    mu's entries (a broadcast view of any shape is free to pass), when G3,
-    the n-fold leak channel or the joint with W-dot would exceed the budget.
+    mu's entries (a broadcast view of any shape is free to pass), when G3
+    or the joint with W-dot would exceed the budget. The one-letter leak
+    channel is applied to one side position at a time.
     """
     mu_arr = np.asarray(mu, dtype=float)
     if mu_arr.ndim == 1:
@@ -595,10 +587,10 @@ def conditional_leakage(
     u_total, w_total = enc.in_size ** n, enc.side_size ** n
     if mu_arr.shape != (u_total, w_total):
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
-    leak_n = _leak_power(enc, triple, _leak_rows(enc, leak_channel), n)
+    leak = _leak_rows(enc, triple, leak_channel, n)
     if not (mu_arr.min() >= 0.0 and abs(float(mu_arr.sum()) - 1.0) <= 1e-9):  # NaN fails too
         raise ValidationError("mu must be a joint probability distribution")
-    return _leakage_report(enc, _enumerate_g3(enc, triple, n), leak_n, mu_arr)
+    return _leakage_report(enc, _enumerate_g3(enc, triple, n), n, leak, mu_arr)
 
 
 def max_conditional_leakage(
@@ -622,20 +614,19 @@ def max_conditional_leakage(
     count = math.comb(levels + cells - 1, cells - 1)
     if count > 200000:
         raise BudgetError(f"mu grid would have {count} points, budget 200000")
-    leak = _leak_rows(enc, leak_channel)
+    leak = _leak_rows(enc, triple, leak_channel, n)
     u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
     if count * cells * z_total > ENUMERATION_BUDGET:
         raise BudgetError(
             f"mu grid of {count} points x {cells * z_total} entries exceeds budget "
             f"{ENUMERATION_BUDGET}"
         )
-    leak_n = _leak_power(enc, triple, leak, n)
     g3 = _enumerate_g3(enc, triple, n)
     best = None
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1
         mu = (counts / levels).reshape(u_total, w_total)
-        rep = _leakage_report(enc, g3, leak_n, mu)
+        rep = _leakage_report(enc, g3, n, leak, mu)
         if best is None or rep.i_uz_given_wdot > best[0].i_uz_given_wdot:
             best = (rep, mu)
     return best

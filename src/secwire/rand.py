@@ -35,6 +35,8 @@ these behaviours fails there.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
@@ -55,20 +57,20 @@ SEED_CHUNK = 2 ** 12
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Pass Generators through; anything else seeds a fresh one."""
+    """Pass Generators through; anything else is checked and seeds a fresh one."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(check_seed(seed))
 
 
 def substream(*entropy: int) -> np.random.Generator:
-    """Child generator keyed by a tuple of integers (seed, trial index, ...)."""
-    return np.random.default_rng(np.random.SeedSequence([int(e) for e in entropy]))
+    """Child generator keyed by a tuple of non-negative integers (seed, trial index, ...)."""
+    return np.random.default_rng(np.random.SeedSequence([check_seed(e) for e in entropy]))
 
 
 def check_seed(seed) -> int:
     """The seed as an int; SeedSequence takes non-negative integers only."""
-    if int(seed) < 0:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return int(seed)
 

@@ -21,11 +21,12 @@ draws from substream(seed, t), read through the block-trial sampler in rand
 (_substream_draws): it returns what that generator's integers and random
 calls would, from raw PCG64 words, without a Generator per trial; a property
 test pins it to substream itself. Trials run in blocks whose pair counts
-fill at most MC_BLOCK_ENTRIES float64 entries (a block is never smaller
-than one trial). A block looks its codewords up with one index, passes them
-through the channel with one inverse-CDF step, the comparison
-channels.sample makes, so its received words equal sample's without a
-sequence object per trial, and tallies its errors with array comparisons.
+and length-N arrays fill at most MC_BLOCK_ENTRIES float64 entries (a block
+is never smaller than one trial). A block looks its codewords up with one
+index, passes them through the channel with one inverse-CDF step, the
+comparison channels.sample makes, so its received words equal sample's
+without a sequence object per trial, and tallies its errors with array
+comparisons.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .sequences import Alphabet, SymbolSequence
 
 # finite stand-in for log 0 so impossible codewords compare exactly
 LOG_FLOOR = -1e18
-# pair-count entries per Monte Carlo trial block (2^19 float64 = 4 MiB)
+# entries per Monte Carlo trial block (2^19 float64 = 4 MiB)
 MC_BLOCK_ENTRIES = 2 ** 19
 
 
@@ -236,18 +237,21 @@ def monte_carlo_error(code: WynerCode, ch: TransitionMatrix, trials: int, seed: 
 
     Trial t draws its secret, inner index and channel uniforms from
     substream(seed, t), in that order, through the block-trial sampler. Trials
-    run in blocks whose pair counts fill at most MC_BLOCK_ENTRIES entries, or
-    one trial's counts if those alone exceed it: a block looks up its
-    codewords, passes them through the channel with one inverse-CDF step (the
-    one sample makes per word) and decodes them with ml_decode's scorer,
-    built once per call. A negative seed, or more than 2^32 trials, raises
-    ValidationError.
+    run in blocks whose pair counts and length-N arrays fill at most
+    MC_BLOCK_ENTRIES entries, or one trial's if those alone exceed it: a
+    block looks up its codewords, passes them through the channel with one
+    inverse-CDF step (the one sample makes per word) and decodes them with
+    ml_decode's scorer, built once per call. A negative seed, or more than
+    2^32 trials, raises ValidationError.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     _check_input(code.in_size, ch)
     words_per_bin = code.words_per_bin
-    block = max(1, MC_BLOCK_ENTRIES // (code.bins * words_per_bin * code.in_size * ch.out_alphabet.size))
+    out_size = ch.out_alphabet.size
+    # pair counts; uniforms, raw words, codeword, CDF rows (out_size each) and received word
+    per_trial = code.bins * words_per_bin * code.in_size * out_size + code.block_len * (out_size + 4)
+    block = max(1, MC_BLOCK_ENTRIES // per_trial)
     scorer = _ml_scorer(code, ch)
     cum = np.cumsum(ch.rows, axis=1)
     bits = (code.secret_bits, code.random_bits)

@@ -201,6 +201,20 @@ def test_monte_carlo_error_rejects_channel_input_mismatch():
         wb.monte_carlo_error(code, ch, trials=0, seed=1)
 
 
+def test_monte_carlo_error_blocks_count_block_length():
+    # 2 codewords at N = 2000: the pair counts alone allow blocks of 2^16
+    # trials, whose uniforms, codewords and gathered CDF rows peaked at
+    # 49 MiB for 400 trials; counting those arrays keeps the peak near 6 MiB
+    code = wb.build_code(2000, 1, 0, [0.5, 0.5], seed=3)
+    tracemalloc.start()
+    try:
+        wb.monte_carlo_error(code, bsc(0.1), trials=400, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
 # -- block-trial sampler --------------------------------------------------
 
 # seeds of one to three 32-bit entropy words, with the word edges; 2^96 and
@@ -256,6 +270,38 @@ def test_substream_words_equal_raw_words_at_the_trial_limit():
     code = wb.build_code(4, 1, 1, [0.5, 0.5], seed=0)
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         wb.monte_carlo_error(code, bsc(0.1), trials=5, seed=-3)
+
+
+def _seed_system():
+    enc = fc.StochasticEncoderSpec(
+        k=1, m=1, in_size=2, out_size=2, n_states=1,
+        emit={(0, 0): [(0, 0.9), (1, 0.1)], (0, 1): [(1, 1.0)]}, next_state=np.zeros((1, 2, 1), dtype=int),
+    )
+    dec = fc.DecoderSpec(
+        k=1, m=1, in_size=2, out_size=2, n_states=1,
+        out_table=np.arange(2).reshape(1, 2, 1), next_state=np.zeros((1, 2, 1), dtype=int),
+    )
+    return enc, dec, ChannelTriple(bsc(0.1), bsc(0.2)), SymbolSequence(Alphabet(2), (0, 1, 1, 0))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda enc, dec, triple, u, seed: wb.build_code(4, 1, 1, [0.5, 0.5], seed=seed),
+        lambda enc, dec, triple, u, seed: fc.encode_stream(enc, u, seed),
+        lambda enc, dec, triple, u, seed: sample(triple.main, u, seed),
+        lambda enc, dec, triple, u, seed: fc.simulate_system(enc, dec, triple, u, 2, seed),
+        lambda enc, dec, triple, u, seed: fc.sweep_initial_states(enc, dec, triple, u, 2, seed),
+    ],
+    ids=["build_code", "encode_stream", "sample", "simulate_system", "sweep_initial_states"],
+)
+def test_bad_seed_raises_validation_error(call, seed):
+    # as_rng and substream check every seed word, so a negative or fractional
+    # seed is an input error of the library, not NumPy's ValueError or
+    # TypeError, and never truncated to a valid seed
+    with pytest.raises(ValidationError, match=f"seed must be a non-negative integer, got {seed}"):
+        call(*_seed_system(), seed)
 
 
 def _whole_codebook_leakage(code, ch):
@@ -832,12 +878,115 @@ def test_leak_arrays_checked_before_allocating():
         # of a 2 -> 1100 leak channel has 2^2 * 1100^2 * 2^2 entries
         with pytest.raises(BudgetError, match="leaked-side joint needs 19360000 entries"):
             fc.max_conditional_leakage(enc, triple, channel_from_rows(np.full((2, 1100), 1 / 1100)), 2, 0.5)
-        with pytest.raises(BudgetError, match="n-fold leak channel needs 17640000 entries"):
+        with pytest.raises(BudgetError, match="leaked-side joint needs 70560000 entries"):
             fc.conditional_leakage(enc, triple, channel_from_rows(np.full((2, 2100), 1 / 2100)), 2, np.full((4, 4), 1 / 16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def _kron_leakage_report(enc, g3, n, leak, mu):
+    # the contraction before the leak channel was applied per position: its
+    # n-fold power as one np.kron matrix, contracted whole by np.einsum
+    leak_n = leak
+    for _ in range(n - 1):
+        leak_n = np.kron(leak_n, leak)
+    p_uwz = mu[:, :, None] * g3
+    p_udz = np.einsum("uwz,wd->udz", p_uwz, leak_n)
+    return fc.LeakageReport(
+        i_uz=im.mutual_information_from_joint(p_uwz.sum(axis=1)),
+        i_uz_given_w=im.conditional_mutual_information(np.transpose(p_uwz, (0, 2, 1))),
+        i_uz_given_wdot=im.conditional_mutual_information(np.transpose(p_udz, (0, 2, 1))),
+        log2_qe=float(np.log2(enc.n_states)),
+    )
+
+
+def _random_mu(rng, n, side_size, sparse):
+    mu = rng.dirichlet(np.ones(2 ** n * side_size ** n))
+    if sparse:  # zero cells exercise the 0 log 0 terms
+        mu[rng.random(mu.size) < 0.4] = 0.0
+        mu[0] += 1e-3
+        mu /= mu.sum()
+    return mu.reshape(2 ** n, side_size ** n)
+
+
+def _random_triple(rng):
+    return ChannelTriple(channel_from_rows(_random_rows(rng, 2, 2)), channel_from_rows(_random_rows(rng, 2, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_states=st.integers(1, 3),
+    side_size=st.integers(2, 3),
+    dot_size=st.integers(1, 4),
+    n=st.integers(1, 4),
+    sparse=st.booleans(),
+)
+def test_per_position_leakage_equals_kron_einsum(seed, n_states, side_size, dot_size, n, sparse):
+    # leak outputs fewer than, equal to and more than the side alphabet
+    enc = _random_encoder(seed, 1, 1, n_states, side_size)
+    rng = np.random.default_rng(seed + 1)
+    triple = _random_triple(rng)
+    leak = _random_rows(rng, side_size, dot_size)
+    mu = _random_mu(rng, n, side_size, sparse)
+    rep = fc.conditional_leakage(enc, triple, channel_from_rows(leak), n, mu)
+    ref = _kron_leakage_report(enc, fc._enumerate_g3(enc, triple, n), n, leak, mu)
+    assert (rep.i_uz, rep.i_uz_given_w, rep.log2_qe) == (ref.i_uz, ref.i_uz_given_w, ref.log2_qe)
+    assert rep.i_uz_given_wdot == pytest.approx(ref.i_uz_given_wdot, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_states=st.integers(1, 3),
+    side_size=st.integers(2, 3),
+    n=st.integers(1, 4),
+    sparse=st.booleans(),
+)
+def test_leakage_without_leak_channel_conditions_on_w(seed, n_states, side_size, n, sparse):
+    enc = _random_encoder(seed, 1, 1, n_states, side_size)
+    rng = np.random.default_rng(seed + 1)
+    rep = fc.conditional_leakage(enc, _random_triple(rng), None, n, _random_mu(rng, n, side_size, sparse))
+    assert rep.i_uz_given_wdot == rep.i_uz_given_w
+
+
+def test_leakage_runs_when_only_an_n_fold_leak_matrix_would_exceed_the_budget():
+    # a 65-symbol side alphabet at n = 2: G3 and the leaked-side joint have
+    # 4 * 65^2 * 4 entries each, but an n-fold leak matrix would have 65^4,
+    # over the budget, which the per-position contraction never builds
+    enc = _random_encoder(9, 1, 1, 2, 65)
+    rng = np.random.default_rng(9)
+    rep = fc.conditional_leakage(enc, _random_triple(rng), None, 2, _random_mu(rng, 2, 65, False))
+    assert 65 ** 4 > fc.ENUMERATION_BUDGET
+    assert rep.i_uz_given_wdot == rep.i_uz_given_w
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_states=st.integers(1, 3),
+    side_size=st.integers(2, 3),
+    dot_size=st.integers(1, 4),
+    n=st.integers(1, 3),
+)
+def test_leakage_sandwich_for_encoders_that_ignore_w(seed, n_states, side_size, dot_size, n):
+    # criterion 9 on random systems: when the tables ignore w, Z depends on
+    # (U, W) through U alone, so I(U;Z|W) <= I(U;Z|W-dot) <= that + log2 q_e
+    rng = np.random.default_rng(seed)
+    emit = {}
+    for s, u in itertools.product(range(n_states), range(2)):
+        law = _random_rows(rng, 1, 2)[0]
+        for w in range(side_size):
+            emit[(s, u, w)] = [(x, float(p)) for x, p in enumerate(law) if p > 0.0]
+    nxt = np.repeat(rng.integers(0, n_states, (n_states, 2, 1)), side_size, axis=2)
+    enc = fc.SideInfoEncoderSpec(
+        k=1, m=1, in_size=2, out_size=2, n_states=n_states, emit=emit, next_state=nxt, side_size=side_size
+    )
+    leak = channel_from_rows(_random_rows(rng, side_size, dot_size))
+    rep = fc.conditional_leakage(enc, _random_triple(rng), leak, n, _random_mu(rng, n, side_size, False))
+    assert rep.sandwich_slack >= -1e-9
 
 
 def _max_leakage_per_point(enc, triple, leak, n, grid_step):
