@@ -5,7 +5,8 @@ Theorems 1 and 3 share one assembler, _assemble, which forms
 rho_LZ(u|w) given side information) and a penalty (zeta_n, or eta_n). Both
 penalties are exact minimizations of a slack over the divisors of n/k in one
 divisor scan, _min_over_divisors, evaluated in log space when the exponential
-term overflows. Theorem 2 is a closed-form randomness bound.
+term overflows. _with_alternative adds the same bound on a truncated prefix
+when n/k is a prime above 3. Theorem 2 is a closed-form randomness bound.
 """
 
 from __future__ import annotations
@@ -212,36 +213,29 @@ def _assemble(rho: float, slack, params: BoundParams, c_s: float, n: int) -> Bou
     )
 
 
-def _truncated_length(n: int, k: int) -> int | None:
-    """Prefix length for the alternative bound, or None.
+def _with_alternative(rho_of, slack, params: BoundParams, c_s: float, n: int) -> BoundReport:
+    """The bound at n, plus the same bound on a truncated prefix when n/k is a prime above 3.
 
-    Set only when n/k is a prime above 3, whose bare divisor set leaves the
-    penalty minimization no useful block count.
+    rho_of(length) is the complexity of the length-prefix. A prime chunk
+    count's bare divisor set leaves the penalty minimization no useful block
+    count. The prefix length is a multiple of k in [2, n), so it passes the
+    checks n passed.
     """
-    chunks = n // k
-    if chunks <= 3 or len(divisors(chunks)) != 2:
-        return None
+    report = _assemble(rho_of(n), slack, params, c_s, n)
+    k = params.k
+    if n // k <= 3 or len(divisors(n // k)) != 2:
+        return report
     ell = max(2, math.isqrt(int(math.log2(n))) + 1)
     n_alt = (n // (k * ell)) * k * ell
     if n_alt < 2 or n_alt == n:
-        return None
-    return n_alt
+        return report
+    return replace(report, alternative=_assemble(rho_of(n_alt), slack, params, c_s, n_alt))
 
 
-def theorem1_bound(
-    u: SymbolSequence,
-    params: BoundParams,
-    c_s: float,
-    n: int | None = None,
-    _allow_alternative: bool = True,
-) -> BoundReport:
+def theorem1_bound(u: SymbolSequence, params: BoundParams, c_s: float, n: int | None = None) -> BoundReport:
     """Key-rate lower bound lam >= (rho_LZ(u) - Delta - eps_s - zeta_n) / C_s."""
     n = _checked_length(u, params, c_s, n)
-    report = _assemble(lz_complexity(u.prefix(n)), zeta_n, params, c_s, n)
-    n_alt = _truncated_length(n, params.k) if _allow_alternative else None
-    if n_alt is not None:
-        report = replace(report, alternative=theorem1_bound(u, params, c_s, n=n_alt, _allow_alternative=False))
-    return report
+    return _with_alternative(lambda length: lz_complexity(u.prefix(length)), zeta_n, params, c_s, n)
 
 
 def theorem2_bound(params: BoundParams, ell: int, i_xz_star: float) -> float:
@@ -259,17 +253,10 @@ def theorem2_bound(params: BoundParams, ell: int, i_xz_star: float) -> float:
 
 
 def theorem3_bound(
-    u: SymbolSequence,
-    w: SymbolSequence,
-    params: BoundParams,
-    c_s: float,
-    n: int | None = None,
-    _allow_alternative: bool = True,
+    u: SymbolSequence, w: SymbolSequence, params: BoundParams, c_s: float, n: int | None = None
 ) -> BoundReport:
     """Side-information bound lam >= (rho_LZ(u|w) - Delta - eps_s - eta_n) / C_s."""
     n = _checked_length(u, params, c_s, n, w)
-    report = _assemble(conditional_lz_complexity(u.prefix(n), w.prefix(n)), eta_n, params, c_s, n)
-    n_alt = _truncated_length(n, params.k) if _allow_alternative else None
-    if n_alt is not None:
-        report = replace(report, alternative=theorem3_bound(u, w, params, c_s, n=n_alt, _allow_alternative=False))
-    return report
+    return _with_alternative(
+        lambda length: conditional_lz_complexity(u.prefix(length), w.prefix(length)), eta_n, params, c_s, n
+    )

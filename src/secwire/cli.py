@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Every subcommand echoes its resolved configuration (including the seed and
-the SECWIRE_THREADS setting) ahead of its results and renders through the
+Each subcommand handler loads its inputs, calls the library and returns its
+results (the feedback handler, its session rows). main builds every document
+in one place: the resolved configuration (including the seed and the
+SECWIRE_THREADS setting), then the results, rendered through the
 deterministic formatter, so identical invocations produce byte-identical
 output. Exit codes: 0 success, 2 validation error, 3 enumeration budget
 exceeded, 64 usage error.
@@ -10,8 +12,8 @@ exceeded, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
-import math
 import os
 import sys
 
@@ -48,30 +50,10 @@ def _threads() -> int:
     return val
 
 
-def _config(args, command: str) -> dict:
-    cfg = {}
-    for key, val in vars(args).items():
-        if key in ("handler", "command"):
-            continue
-        cfg[key.replace("_", "-")] = val
+def _config(args) -> dict:
+    cfg = {key.replace("_", "-"): val for key, val in vars(args).items() if key not in ("handler", "command")}
     cfg["threads"] = _threads()
-    return {"command": command, "config": cfg}
-
-
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_result(args, doc: dict) -> int:
-    if args.format == "csv":
-        _emit(args, rp.render_csv(doc))
-    else:
-        _emit(args, rp.render_json(doc) + "\n")
-    return 0
+    return {"command": args.command, "config": cfg}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -83,17 +65,7 @@ def _load_triple(args) -> ch.ChannelTriple:
     return ch.ChannelTriple(ch.load_channel(args.main), ch.load_channel(args.wiretap))
 
 
-def _capacity_dict(res: im.CapacityResult) -> dict:
-    return {
-        "value": res.value,
-        "argmax": [float(v) for v in res.argmax],
-        "iterations": res.iterations,
-        "certified_gap": res.certified_gap,
-    }
-
-
-def _cmd_parse(args) -> int:
-    doc = _config(args, "parse")
+def _cmd_parse(args) -> dict:
     u = sq.load_sequence(args.seq)
     parse = pz.incremental_parse(u)
     results = {
@@ -111,13 +83,11 @@ def _cmd_parse(args) -> int:
         results["c_joint"] = jp.c_joint
         results["c_w"] = jp.c_w
         results["multiplicities"] = [m for _, m in jp.w_phrases]
-        results["rho_conditional"] = pz._conditional_lz_rate(jp, len(u))
-    doc["results"] = results
-    return _emit_result(args, doc)
+        results["rho_conditional"] = pz._rate_of_multiplicities(results["multiplicities"], len(u))
+    return results
 
 
-def _cmd_channel(args) -> int:
-    doc = _config(args, "channel")
+def _cmd_channel(args) -> dict:
     main = ch.load_channel(args.main)
     results = {
         "main": {"in": main.in_alphabet.size, "out": main.out_alphabet.size, "valid": True}
@@ -131,12 +101,10 @@ def _cmd_channel(args) -> int:
             results["cascade"]["rows"] = [[float(v) for v in row] for row in triple.cascade.rows]
     elif args.emit_cascade:
         raise ValidationError("--emit-cascade needs --wiretap")
-    doc["results"] = results
-    return _emit_result(args, doc)
+    return results
 
 
-def _cmd_capacity(args) -> int:
-    doc = _config(args, "capacity")
+def _cmd_capacity(args) -> dict:
     main = ch.load_channel(args.main)
     if args.gamma is not None and not args.wiretap:
         raise ValidationError("--gamma needs --wiretap")
@@ -144,15 +112,14 @@ def _cmd_capacity(args) -> int:
         triple = ch.ChannelTriple(main, ch.load_channel(args.wiretap))
         if args.gamma is not None:
             res = im.gamma(triple, args.gamma, tol=args.tol)
-            results = {"kind": "gamma", "rate": args.gamma, **_capacity_dict(res)}
+            results = {"kind": "gamma", "rate": args.gamma, **dataclasses.asdict(res)}
         else:
             res = im.secrecy_capacity(triple, tol=args.tol)
-            results = {"kind": "secrecy", **_capacity_dict(res)}
+            results = {"kind": "secrecy", **dataclasses.asdict(res)}
     else:
         res = im.channel_capacity(main, tol=args.tol)
-        results = {"kind": "channel", **_capacity_dict(res)}
-    doc["results"] = results
-    return _emit_result(args, doc)
+        results = {"kind": "channel", **dataclasses.asdict(res)}
+    return results
 
 
 def _report_dict(rep: bd.BoundReport) -> dict:
@@ -166,8 +133,7 @@ def _report_dict(rep: bd.BoundReport) -> dict:
     return out
 
 
-def _cmd_bound(args) -> int:
-    doc = _config(args, "bound")
+def _cmd_bound(args) -> dict:
     triple = _load_triple(args)
     cs = im.secrecy_capacity(triple, tol=1e-10)
     u = sq.load_sequence(args.seq)
@@ -199,8 +165,7 @@ def _cmd_bound(args) -> int:
         }
     results["c_s"] = cs.value
     results["c_s_certified_gap"] = cs.certified_gap
-    doc["results"] = results
-    return _emit_result(args, doc)
+    return results
 
 
 def _params(args, alpha: int, omega: int) -> bd.BoundParams:
@@ -217,9 +182,7 @@ def _params(args, alpha: int, omega: int) -> bd.BoundParams:
     )
 
 
-def _cmd_simulate(args) -> int:
-    doc = _config(args, "simulate")
-    check_seed(args.seed)
+def _cmd_simulate(args) -> dict:
     enc = fc.load_fsm(args.enc)
     dec = fc.load_fsm(args.dec)
     if not isinstance(enc, fc.StochasticEncoderSpec):
@@ -260,20 +223,11 @@ def _cmd_simulate(args) -> int:
             shape = (enc.in_size ** len(u), enc.side_size ** len(u))
             mu = np.broadcast_to(1.0 / (shape[0] * shape[1]), shape)
             rep = fc.conditional_leakage(enc, triple, leak, len(u), mu)
-            results["leakage"] = {
-                "i_uz": rep.i_uz,
-                "i_uz_given_w": rep.i_uz_given_w,
-                "i_uz_given_wdot": rep.i_uz_given_wdot,
-                "log2_qe": rep.log2_qe,
-                "sandwich_slack": rep.sandwich_slack,
-            }
-    doc["results"] = results
-    return _emit_result(args, doc)
+            results["leakage"] = {**dataclasses.asdict(rep), "sandwich_slack": rep.sandwich_slack}
+    return results
 
 
-def _cmd_wyner(args) -> int:
-    doc = _config(args, "wyner")
-    check_seed(args.seed)
+def _cmd_wyner(args) -> dict:
     triple = _load_triple(args)
     in_size = triple.main.in_alphabet.size
     if args.dist:
@@ -302,33 +256,24 @@ def _cmd_wyner(args) -> int:
     if args.audit:
         if args.ell is None:
             raise ValidationError("--audit needs --ell")
+        if args.ell < 1:
+            raise ValidationError(f"ell must be a positive integer, got {args.ell}")
         if args.N % args.ell != 0:
             raise ValidationError(f"--ell {args.ell} does not divide N = {args.N}")
         params = bd.BoundParams(
             k=args.k, m=args.N // args.ell, q_e=args.qe, eps_s=args.eps_s, alpha=in_size
         )
-        audit = wb.randomness_audit(code, triple, params, args.ell)
-        results["audit"] = {
-            "j_per_chunk": audit.j_per_chunk,
-            "bound": audit.bound,
-            "margin": audit.margin,
-            "i_xz_star": audit.i_xz_star,
-            "ell": audit.ell,
-            "passed": audit.passed,
-        }
+        results["audit"] = dataclasses.asdict(wb.randomness_audit(code, triple, params, args.ell))
     if args.pipeline:
         if not args.seq:
             raise ValidationError("--pipeline needs --seq")
         u = sq.load_sequence(args.seq)
         block = args.N if args.pipeline == "vtf" else None
         results["pipeline"] = wb.separation_plan(u, triple, args.delta, args.pipeline, block_len=block)
-    doc["results"] = results
-    return _emit_result(args, doc)
+    return results
 
 
-def _cmd_feedback(args) -> int:
-    doc = _config(args, "feedback")
-    check_seed(args.seed)
+def _cmd_feedback(args) -> list:
     u = sq.load_sequence(args.seq)
     w = sq.load_sequence(args.side)
     if args.coded:
@@ -367,13 +312,7 @@ def _cmd_feedback(args) -> int:
                 "reconstruction": list(tr.reconstruction.data) if tr.reconstruction else None,
             }
         )
-    if args.format == "csv":
-        _emit(args, rp.render_csv_rows(rows, common=doc))
-    else:
-        lines = [rp.render_json(doc, indent=None)]
-        lines.extend(rp.render_json(row, indent=None) for row in rows)
-        _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -484,7 +423,23 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        doc = _config(args)
+        if hasattr(args, "seed"):
+            check_seed(args.seed)
+        results = args.handler(args)
+        if args.command != "feedback":
+            doc["results"] = results
+            text = rp.render_csv(doc) if args.format == "csv" else rp.render_json(doc) + "\n"
+        elif args.format == "csv":
+            text = rp.render_csv_rows(results, common=doc)
+        else:
+            # JSON lines: the config, then one line per session row
+            text = "\n".join(rp.render_json(obj, indent=None) for obj in [doc, *results]) + "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ValidationError as exc:
         sys.stderr.write(f"secwire: validation error: {exc}\n")
         return 2
@@ -497,6 +452,7 @@ def main(argv=None) -> int:
     except IsADirectoryError as exc:
         sys.stderr.write(f"secwire: not a file: {exc.filename}\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

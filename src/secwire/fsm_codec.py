@@ -415,12 +415,16 @@ def sweep_initial_states(enc, dec, triple, u, trials, seed, w=None) -> dict:
     return out
 
 
-def _check_system(enc, dec, triple: ChannelTriple) -> None:
+def _check_encoder_output(enc, triple: ChannelTriple) -> None:
     if enc.out_size != triple.main.in_alphabet.size:
         raise ValidationError(
             f"encoder output alphabet {enc.out_size} does not match channel input "
             f"{triple.main.in_alphabet.size}"
         )
+
+
+def _check_system(enc, dec, triple: ChannelTriple) -> None:
+    _check_encoder_output(enc, triple)
     if dec.in_size != triple.main.out_alphabet.size:
         raise ValidationError(
             f"decoder input alphabet {dec.in_size} does not match channel output "
@@ -431,13 +435,22 @@ def _check_system(enc, dec, triple: ChannelTriple) -> None:
 
 
 def _chunk_kernels(enc: StochasticEncoderSpec, triple: ChannelTriple) -> np.ndarray:
-    """G[s, u_blk, w_blk, z_blk]: one-chunk law of Z^m given input and state."""
-    casc_m = functools.reduce(np.kron, [triple.cascade.rows] * enc.m)
-    z_blocks = casc_m.shape[1]
-    out = np.zeros((enc.n_states, enc.u_blocks, enc.w_blocks, z_blocks))
+    """G[s, u_blk, w_blk, z_blk]: one-chunk law of Z^m given input and state.
+
+    The law of an emitted x-block is the left-to-right np.kron of its m
+    cascade rows, which is row x of the m-fold Kronecker power, bit for bit,
+    without building that power. At most one law per kernel row is cached.
+    """
+    rows = triple.cascade.rows
+    out = np.zeros((enc.n_states, enc.u_blocks, enc.w_blocks, rows.shape[1] ** enc.m))
+
+    @functools.lru_cache(maxsize=enc.n_states * enc.u_blocks * enc.w_blocks)
+    def law(x: int) -> np.ndarray:
+        return functools.reduce(np.kron, rows[list(index_to_block(x, enc.out_size, enc.m))])
+
     for (s, ui, wi), dist in enc.emit.items():
         for x, p in dist:
-            out[s, ui, wi] += p * casc_m[x]
+            out[s, ui, wi] += p * law(x)
     return out
 
 
@@ -494,6 +507,7 @@ def _enumeration_shape(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int
     """(u_total, w_total, z_total) of the exact enumeration at block length n."""
     if n < 1 or n % enc.k != 0:
         raise ValidationError(f"n = {n} is not a positive multiple of k = {enc.k}")
+    _check_encoder_output(enc, triple)
     z_total = triple.wiretap.out_alphabet.size ** (n // enc.k * enc.m)
     return enc.in_size ** n, enc.side_size ** n, z_total
 
@@ -501,9 +515,10 @@ def _enumeration_shape(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int
 def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
     """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n), by the chunk recursion."""
     u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
-    entries = u_total * w_total * z_total
-    if entries > ENUMERATION_BUDGET:
-        raise BudgetError(f"joint enumeration needs {entries} entries, budget {ENUMERATION_BUDGET}")
+    kernel_entries = enc.n_states * enc.u_blocks * enc.w_blocks * triple.wiretap.out_alphabet.size ** enc.m
+    for what, entries in (("joint enumeration", u_total * w_total * z_total), ("chunk kernel", kernel_entries)):
+        if entries > ENUMERATION_BUDGET:
+            raise BudgetError(f"{what} needs {entries} entries, budget {ENUMERATION_BUDGET}")
     kern = _chunk_kernels(enc, triple)
     nu, nw, nz = kern.shape[1:]
     level, states = np.ones((1, 1, 1)), np.full((1, 1), enc.initial_state)
@@ -747,6 +762,18 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
     _check_scalars(dict(k=k, m=m, in_size=a_in, out_size=a_out, n_states=n_states, side_size=side), init)
     has_side = side > 1
     in_len = k if encoder else m
+    # the table cells as a running product that stops past the budget, so no huge power is formed
+    cells = n_states
+    for base, length in ((a_in, in_len), (side, k)):
+        for _ in range(length if base > 1 else 0):
+            if cells > ENUMERATION_BUDGET:
+                break
+            cells *= base
+    if cells > ENUMERATION_BUDGET:
+        raise BudgetError(
+            f"{path}: tables of {n_states} states x {a_in}^{in_len} input blocks x {side}^{k} side blocks "
+            f"exceed budget {ENUMERATION_BUDGET}"
+        )
     emit: dict = {}
     for toks in emit_lines:
         want = 4 + has_side

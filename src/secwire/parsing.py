@@ -4,6 +4,9 @@ One trie walk, _parse_stream, drives both the single-sequence parse and the
 pair parse; the prefix counts c(u^i) are read off the single-sequence parse.
 The pair parse walks the product alphabet, keying trie edges by the index
 u * |W| + w of each (u, w) symbol pair (an int hashes faster than a tuple).
+The conditional rate is summed by one function, _rate_of_multiplicities,
+straight off the pair walk's w-phrase counts: conditional_lz_complexity
+builds no JointPhraseParse.
 
 Counting conventions differ deliberately between the two parses. The plain
 parse counts a trailing incomplete phrase toward c. The joint parse counts
@@ -118,18 +121,23 @@ def _w_phrase_counts(spans, w_data) -> dict:
 
 
 def _rate_of_multiplicities(multiplicities, n: int) -> float:
+    """(1/n) sum_l c_l log2 c_l, summed in the order given."""
     total = 0.0
     for c_l in multiplicities:
         total += c_l * math.log2(c_l)
     return total / n
 
 
-def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
-    """Parse the pair stream ((u_1,w_1), ..., (u_n,w_n)) and bucket by w-phrase."""
+def _check_pair(u: SymbolSequence, w: SymbolSequence) -> None:
     if len(u) == 0:
         raise ValidationError("cannot parse an empty sequence")
     if len(u) != len(w):
         raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
+
+
+def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
+    """Parse the pair stream ((u_1,w_1), ..., (u_n,w_n)) and bucket by w-phrase."""
+    _check_pair(u, w)
     omega = w.alphabet.size
     spans, tail = _parse_stream([a * omega + b for a, b in zip(u.data, w.data)])
     counts = _w_phrase_counts(spans, w.data)
@@ -142,16 +150,11 @@ def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
     )
 
 
-def _conditional_lz_rate(jp: JointPhraseParse, n: int) -> float:
-    return _rate_of_multiplicities((c_l for _, c_l in jp.w_phrases), n)
-
-
 def _conditional_rate(u: tuple, w: tuple, omega: int) -> float:
     """conditional_lz_complexity of equal-length nonempty symbol tuples, w over omega symbols.
 
-    The list decoder's entry point: it builds no SymbolSequence and no
-    JointPhraseParse, and sums c_l log2 c_l in the same first-appearance
-    order, so the rate is bitwise equal.
+    It builds no SymbolSequence and no JointPhraseParse, and sums c_l log2 c_l
+    in joint_parse's first-appearance order of the w-phrases.
     """
     spans, _ = _parse_stream([a * omega + b for a, b in zip(u, w)])
     return _rate_of_multiplicities(_w_phrase_counts(spans, w).values(), len(u))
@@ -159,7 +162,8 @@ def _conditional_rate(u: tuple, w: tuple, omega: int) -> float:
 
 def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
     """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol."""
-    return _conditional_lz_rate(joint_parse(u, w), len(u))
+    _check_pair(u, w)
+    return _conditional_rate(u.data, w.data, w.alphabet.size)
 
 
 def empirical_block_entropy(u: SymbolSequence, block: int) -> float:

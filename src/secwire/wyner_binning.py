@@ -331,6 +331,8 @@ def separation_plan(
     alpha = u.alphabet.size
     if alpha < 2:
         raise ValidationError("separation needs a source alphabet of size >= 2")
+    if n == 0:
+        raise ValidationError("separation needs a nonempty source sequence")
     cs = secrecy_capacity(triple, tol=1e-10)
     if cs.value <= 0.0:
         raise ValidationError(f"secrecy capacity {cs.value} is not positive")

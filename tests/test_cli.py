@@ -325,6 +325,56 @@ def test_wyner_bad_dist_exits_2(tmp_path, capsys):
     )
 
 
+_FSM_HEADER = "{kind}\nk {k}\nm {m}\n{names[0]} {a}\n{names[1]} {b}\nstates 1\ninit 0\n"
+
+
+def _crash_argv(tmp_path, case):
+    # case is "ell<value>", "pipeline<mode>" or "<kind>-<k>-<m>-<in alphabet>-<out alphabet>"
+    main = _write_bsc(tmp_path / "m.ch", 0.05)
+    wire = _write_bsc(tmp_path / "w.ch", 0.2)
+    wyner = [
+        "wyner", "--N", "4", "--secret-bits", "1", "--random-bits", "1",
+        "--main", main, "--wiretap", wire, "--trials", "10", "--seed", "3",
+    ]
+    if case.startswith("ell"):
+        return wyner + ["--audit", "--ell", case[3:]]
+    if case.startswith("pipeline"):
+        (tmp_path / "empty.seq").write_text("alphabet 2\n")
+        return wyner + ["--pipeline", case[8:], "--seq", str(tmp_path / "empty.seq")]
+    enc, dec = _identity_fsm_files(tmp_path)
+    kind, k, m, a, b = case.split("-")
+    names = ("alpha", "beta") if kind == "encoder" else ("gamma", "alpha")
+    big = tmp_path / "big.fsm"
+    big.write_text(_FSM_HEADER.format(kind=kind, k=k, m=m, names=names, a=a, b=b))
+    return [
+        "simulate", "--enc", str(big) if kind == "encoder" else enc,
+        "--dec", str(big) if kind == "decoder" else dec,
+        "--main", main, "--wiretap", wire,
+        "--seq", _write_seq(tmp_path / "u.seq", (0, 1)), "--trials", "1", "--seed", "1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("ell0", 2, "ell must be a positive integer, got 0"),
+        ("ell-1", 2, "ell must be a positive integer, got -1"),
+        ("pipelinefixed", 2, "separation needs a nonempty source sequence"),
+        ("pipelinevtf", 2, "separation needs a nonempty source sequence"),
+        ("decoder-1-12-10-10", 3, "tables of 1 states x 10^12 input blocks x 1^1 side blocks exceed budget 16777216"),
+        ("encoder-40-1-2-2", 3, "tables of 1 states x 2^40 input blocks x 1^40 side blocks exceed budget 16777216"),
+        ("encoder-100-1-2-2", 3, "tables of 1 states x 2^100 input blocks x 1^100 side blocks exceed budget 16777216"),
+    ],
+)
+def test_crash_inputs_exit_with_one_error_line(tmp_path, capsys, case, code, message):
+    # each of these once ended in a traceback, or asked NumPy for terabytes
+    assert cli.main(_crash_argv(tmp_path, case)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("secwire: validation error: " if code == 2 else "secwire: budget exceeded: ")
+    assert captured.err.endswith(message + "\n") and captured.err.count("\n") == 1
+
+
 def test_simulate_exact_leakage_checks_budget_before_allocating(tmp_path, capsys):
     # at n = 11 a dense uniform mu alone would take 2^22 floats (32 MiB); the
     # joint enumeration exceeds the budget, so nothing that large is built

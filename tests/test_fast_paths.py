@@ -22,7 +22,7 @@ from secwire import rand
 from secwire import wyner_binning as wb
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, sample, validate
 from secwire.errors import BudgetError, ValidationError
-from secwire.parsing import _conditional_rate, conditional_lz_complexity
+from secwire.parsing import _conditional_rate, conditional_lz_complexity, joint_parse
 from secwire.rand import substream
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
 
@@ -864,6 +864,46 @@ def test_conditional_leakage_checks_budget_before_leak_power():
         fc.conditional_leakage(enc, triple, channel_from_rows([[1.0]] * 3), 9, mu)
 
 
+def test_chunk_kernels_build_no_cascade_power():
+    # at m = 13 the 13-fold cascade power has 2^13 x 2^13 entries (512 MiB);
+    # the induced channel itself has 2 x 2^13
+    emit = {(0, 0): [(0, 1.0)], (0, 1): [(2 ** 13 - 1, 0.75), (5, 0.25)]}
+    enc = fc.StochasticEncoderSpec(
+        k=1, m=13, in_size=2, out_size=2, n_states=1, emit=emit, next_state=np.zeros((1, 2, 1), dtype=np.int64)
+    )
+    triple = ChannelTriple(bsc(0.1), bsc(0.2))
+    tracemalloc.start()
+    try:
+        rows = fc.induced_security_channel(enc, triple, 1).rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    casc = triple.cascade.rows
+    assert rows[0, 0] == pytest.approx(casc[0, 0] ** 13, rel=1e-12)
+    want = 0.75 * casc[1, 1] ** 13 + 0.25 * casc[0, 1] ** 11 * casc[1, 1] ** 2
+    assert rows[1, 2 ** 13 - 1] == pytest.approx(want, rel=1e-12)
+
+
+def test_enumeration_rejects_encoder_alphabet_mismatch():
+    # a ternary encoder output read through binary channel rows
+    enc = _random_encoder(3, 1, 1, 1, 1, out_size=3)
+    with pytest.raises(ValidationError, match="encoder output alphabet 3 does not match channel input 2"):
+        fc.induced_security_channel(enc, ChannelTriple(bsc(0.1), bsc(0.2)), 2)
+
+
+def test_chunk_kernel_counted_in_the_enumeration_budget():
+    # one chunk of 2 x 2^12 z-blocks fits; 2^12 states make the kernel 2^25 entries
+    n_states = 2 ** 12
+    emit = {(s, u): [(u, 1.0)] for s in range(n_states) for u in range(2)}
+    enc = fc.StochasticEncoderSpec(
+        k=1, m=12, in_size=2, out_size=2, n_states=n_states, emit=emit,
+        next_state=np.zeros((n_states, 2, 1), dtype=np.int64),
+    )
+    with pytest.raises(BudgetError, match=f"chunk kernel needs {2 ** 25} entries"):
+        fc.induced_security_channel(enc, ChannelTriple(bsc(0.1), bsc(0.2)), 1)
+
+
 def test_leak_arrays_checked_before_allocating():
     # G3 has 2^4 * 2^4 * 2^4 entries, but W-dot^4 of a 2 -> 20 leak channel
     # makes the joint with W-dot 2^4 * 20^4 * 2^4 entries (41 M, 330 MB)
@@ -1164,12 +1204,16 @@ def test_bin_table_memory_is_bounded():
 
 @pytest.mark.parametrize("n, alpha, seed", [(1, 2, 0), (6, 2, 1), (8, 2, 2), (4, 3, 3), (5, 3, 4), (3, 5, 5)])
 def test_conditional_rate_equals_conditional_lz_complexity(n, alpha, seed):
+    # the reference sums c_l log2 c_l over joint_parse's multiplicities, in
+    # their first-appearance order, apart from the pair walk the rate uses
     rng = np.random.default_rng(seed)
     for omega in (1, 2, alpha):
         w = SymbolSequence(Alphabet(omega), tuple(int(v) for v in rng.integers(0, omega, n)))
         for cand in itertools.product(range(alpha), repeat=n):
-            want = conditional_lz_complexity(SymbolSequence(Alphabet(alpha), cand), w)
+            u = SymbolSequence(Alphabet(alpha), cand)
+            want = sum(c_l * math.log2(c_l) for _, c_l in joint_parse(u, w).w_phrases) / n
             assert _conditional_rate(cand, w.data, omega) == want
+            assert conditional_lz_complexity(u, w) == want
 
 
 def _frozen_run_session(u, w, r, delta, transport, seed):
