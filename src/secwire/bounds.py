@@ -151,14 +151,20 @@ def eta_n(n: int, params: BoundParams) -> tuple:
     if aw < 2:
         raise ValidationError(f"alpha * omega must be >= 2, got {aw}")
 
+    log2_aw, log2_n = math.log2(aw), math.log2(n)
+
     def slack(kl):
+        # A >= aw^kl and log2(log2(4 A^2)) >= 1 put t3's exponent above 1000 here: t3 and the
+        # slack are +inf, which never wins the scan's strict <, so skip building A
+        if 2.0 * kl * log2_aw - log2_n > 1001.0:
+            return math.inf
         # exact integer A; log2 accepts arbitrarily large ints
         a_count = (aw ** (kl + 1) - 1) // (aw - 1)
         log2_a = math.log2(a_count)
         log2_4a2 = 2.0 + 2.0 * log2_a
         t1 = (math.log2(params.q_d * params.q_e) + 1.0) / kl
-        t2 = log2_4a2 / ((1.0 - params.eps_n) * math.log2(n))
-        t3 = _pow_term(2.0 * log2_a + math.log2(log2_4a2) - math.log2(n))
+        t2 = log2_4a2 / ((1.0 - params.eps_n) * log2_n)
+        t3 = _pow_term(2.0 * log2_a + math.log2(log2_4a2) - log2_n)
         return t1 + t2 + t3
 
     return _min_over_divisors(n, params.k, slack)

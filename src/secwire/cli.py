@@ -76,7 +76,7 @@ def _cmd_parse(args) -> dict:
         "last_incomplete": parse.last_incomplete,
     }
     if args.phrases:
-        results["phrases"] = [[a, b] for a, b in parse.phrases]
+        results["phrases"] = parse.phrases
     if args.side:
         w = sq.load_sequence(args.side)
         jp = pz.joint_parse(u, w)

@@ -2,12 +2,19 @@
 
 Floats are always printed with %.10g and dicts in insertion order, so a rerun
 with the same seed produces byte-identical output regardless of environment.
+
+A list (or tuple, or array) of plain ints, and a list of equal-width rows of
+plain ints such as the phrase spans of ``parse --phrases``, is printed through
+one string template instead of one recursive call per number. The output is
+byte-for-byte what the recursion prints; bools, numpy scalars, floats, ragged
+or empty rows and any other item fall through to the recursion.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -63,14 +70,31 @@ def _render(obj, indent: int | None, level: int) -> str:
     raise ValidationError(f"cannot render object of type {type(obj).__name__}")
 
 
-def _render_list(obj, indent: int | None, level: int) -> str:
-    items = [_render(v, indent, level + 1) for v in obj]
-    if not items:
-        return "[]"
+def _join(items, indent: int | None, level: int, brackets: str = "[]") -> str:
+    """The JSON list (or, with brackets "{}", object) of already rendered, nonempty items."""
     if indent is None:
-        return "[" + ", ".join(items) + "]"
+        return brackets[0] + ", ".join(items) + brackets[1]
     pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-    return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+    return brackets[0] + "\n" + pad_in + (",\n" + pad_in).join(items) + "\n" + pad + brackets[1]
+
+
+def _render_list(obj, indent: int | None, level: int) -> str:
+    if len(obj) == 0:  # not truth: a 0-d array's tolist() is a scalar, which must still raise
+        return "[]"
+    # the first item's type decides whether a whole-list scan can pay off
+    t = type(obj[0])
+    # "%d" prints an int as str() does, and one % over a template beats a str() call per int
+    if t is int and set(map(type, obj)) == {int}:
+        return _join(["%d"] * len(obj), indent, level) % tuple(obj)
+    if (t is list or t is tuple) and obj[0]:
+        width = len(obj[0])
+        if set(map(type, obj)) <= {list, tuple} and set(map(len, obj)) == {width}:
+            flat = tuple(itertools.chain.from_iterable(obj))
+            if set(map(type, flat)) == {int}:
+                # pads are spaces, so the template holds no "%" but the %d fields
+                row = _join(["%d"] * width, indent, level + 1)
+                return _join([row] * len(obj), indent, level) % flat
+    return _join([_render(v, indent, level + 1) for v in obj], indent, level)
 
 
 def _render_dict(obj, indent: int | None, level: int) -> str:
@@ -79,12 +103,7 @@ def _render_dict(obj, indent: int | None, level: int) -> str:
         if not isinstance(k, str):
             raise ValidationError(f"report keys must be strings, got {k!r}")
         items.append(f"{json.dumps(k)}: {_render(v, indent, level + 1)}")
-    if not items:
-        return "{}"
-    if indent is None:
-        return "{" + ", ".join(items) + "}"
-    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
-    return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
+    return _join(items, indent, level, "{}") if items else "{}"
 
 
 def render_json(obj, indent: int | None = 2) -> str:

@@ -8,6 +8,12 @@ anything ``int()`` accepts: a sign, leading zeros, underscores between digits
 and non-ASCII decimal digits are allowed, ``1.0`` is not. Every malformed
 file (not UTF-8, bad header, non-integer or out-of-range symbol) raises
 ValidationError naming the path, which the CLI reports with exit code 2.
+
+The body after the header is read by one of three paths, all giving the same
+symbols. A body of ASCII digits and whitespace whose tokens are all single
+digits (the layout dump_sequence writes) is decoded straight from its bytes.
+Other ASCII-digit bodies with tokens shorter than 19 digits go through
+np.fromstring. Every other body goes through int() token by token.
 """
 
 from __future__ import annotations
@@ -23,16 +29,29 @@ from .errors import ValidationError
 # whitespace, with no run of 19 zeros, holds only tokens that int() and
 # np.fromstring read alike and that fit in int64. This is the test of the flat
 # regexes [0-9\s]* (re.ASCII) and [0-9]{19}, at a fifth of their cost: the
-# search for a 19-digit run alone takes longer than np.fromstring.
+# search for a 19-digit run alone takes longer than np.fromstring. With no run
+# of two zeros every token is a single digit, and the 19-digit search is skipped.
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
-_ZERO_AND_SPACE = b"0 \t\n\r\x0b\x0c"
+_SPACE = b" \t\n\r\x0b\x0c"
+_ZERO_AND_SPACE = b"0" + _SPACE
+
+
+def _bulk_bytes(body: str) -> tuple | None:
+    """(ASCII bytes, every token is one digit) for a body that passes the bulk test, else None."""
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    zeros = raw.translate(_DIGITS_TO_ZERO)
+    if zeros.translate(None, _ZERO_AND_SPACE):
+        return None
+    single = b"00" not in zeros
+    if not single and b"0" * 19 in zeros:
+        return None
+    return raw, single
 
 
 def _bulk_readable(body: str) -> bool:
-    if not body.isascii():
-        return False
-    zeros = body.encode("ascii").translate(_DIGITS_TO_ZERO)
-    return not zeros.translate(None, _ZERO_AND_SPACE) and b"0" * 19 not in zeros
+    return _bulk_bytes(body) is not None
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -125,8 +144,13 @@ def load_sequence(path: str | os.PathLike) -> SymbolSequence:
     except ValueError:
         raise ValidationError(f"{path}: alphabet size {parts[1]!r} is not an integer") from None
     body = parts[2] if len(parts) == 3 else ""
-    if _bulk_readable(body):
-        # fromstring reads a blank string as [0]; split() left body empty or starting with a digit
+    bulk = _bulk_bytes(body)
+    if bulk is not None and bulk[1]:
+        # every token is one digit: the bytes left once whitespace is deleted are the symbols
+        # (the same selection as a mask of bytes >= "0", without its cost)
+        symbols = np.frombuffer(bulk[0].translate(None, _SPACE), dtype=np.uint8) - 0x30
+    elif bulk is not None:
+        # split() left the body starting with a digit, so fromstring never sees a blank string
         symbols = np.fromstring(body, dtype=np.int64, sep=" ")
     else:
         symbols = []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,63 @@ def test_zeta_eta_match_naive_scan():
         ev, el = eta_n(n, params)
         nv, nl = _naive_eta(n, params)
         assert el == nl and math.isclose(ev, nv, rel_tol=1e-12)
+
+
+# eta_n as it was before it skipped the divisors whose slack is +inf: it built
+# the exact integer A for every divisor, kept verbatim as the reference.
+def _frozen_eta(n, params):
+    aw = params.alpha * params.omega
+
+    def slack(kl):
+        a_count = (aw ** (kl + 1) - 1) // (aw - 1)
+        log2_a = math.log2(a_count)
+        log2_4a2 = 2.0 + 2.0 * log2_a
+        t1 = (math.log2(params.q_d * params.q_e) + 1.0) / kl
+        t2 = log2_4a2 / ((1.0 - params.eps_n) * math.log2(n))
+        x = 2.0 * log2_a + math.log2(log2_4a2) - math.log2(n)
+        t3 = math.inf if x > 1000.0 else 2.0 ** x
+        return t1 + t2 + t3
+
+    best_v, best_l = math.inf, None
+    for ell in divisors(n // params.k):
+        v = slack(params.k * ell)
+        if v < best_v:
+            best_v, best_l = v, ell
+    return best_v, best_l
+
+
+@pytest.mark.parametrize(
+    "n, k, alpha, omega",
+    [
+        (1024, 1, 2, 1),
+        (1024, 2, 2, 2),
+        (3000, 4, 3, 2),
+        (200_000, 1, 4, 1),
+        (200_000, 2, 2, 3),
+        (2 ** 20, 1, 2, 2),
+        (1200, 600, 2, 2),  # every divisor's slack is +inf: (inf, None)
+        (5 * 601, 601, 3, 1),
+        (100, 100, 2, 2),  # one divisor, a finite slack near 1e121
+        (300, 100, 2, 2),
+        (498, 498, 2, 1),  # the largest finite slack, near 5e300
+        (499, 499, 2, 1),  # t3 overflows without the skip
+        (505, 505, 2, 1),  # the skip's first kl at alpha omega = 2
+    ],
+)
+def test_eta_matches_exact_integer_scan(n, k, alpha, omega):
+    params = BoundParams(k=k, m=1, q_e=2, q_d=3, alpha=alpha, omega=omega, eps_n=0.25)
+    assert eta_n(n, params) == _frozen_eta(n, params)
+
+
+def test_eta_skips_huge_integers():
+    params = BoundParams(k=1, m=1, alpha=2, omega=2)
+    tracemalloc.start()
+    try:
+        eta_n(2 ** 20, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_zeta_decreases_with_n_on_powers_of_two():

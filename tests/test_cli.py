@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -474,3 +475,27 @@ def test_reused_parser_matches_fresh_processes(tmp_path):
         )
         assert _run_in_process(argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert _run_in_process(sequence[0])[0] == 64
+
+
+# SHA-256 of stdout for a seeded 5 000-symbol file, recorded before phrase
+# lists were printed through one integer-row template and single-digit files
+# decoded from their bytes. The benchmark's op check parses the JSON, so only
+# this test sees whitespace.
+GOLDEN_PARSE_STDOUT = {
+    "phrases": "a603f1a8a721d0b0eff8257063f96bff50e9ef2e9d3ade402f4ed424a8606950",
+    "side": "b323de798924dd51c07504ac36bd834d73a6c375c157002d0c518d54f8e1491d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_PARSE_STDOUT))
+def test_parse_stdout_bytes_are_golden(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # the config echo holds the relative paths only
+    monkeypatch.delenv("SECWIRE_THREADS", raising=False)
+    rng = np.random.default_rng(5000)
+    u = rng.integers(0, 4, 5000)
+    w = (u + (rng.random(5000) < 0.15)) % 4
+    _write_seq("u.seq", u, size=4)
+    _write_seq("w.seq", w, size=4)
+    argv = ["parse", "--seq", "u.seq", "--phrases"] + (["--side", "w.seq"] if case == "side" else [])
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_PARSE_STDOUT[case]

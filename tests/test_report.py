@@ -264,3 +264,140 @@ def test_flatten_errors_match_per_level_coercion():
         with pytest.raises(ValidationError) as old:
             _old_flatten(doc)
         assert str(new.value) == str(old.value)
+
+
+# The one-pass recursive renderer as it was before integer lists and integer
+# rows were printed through one template, kept verbatim as the reference.
+def _recursive_render(obj, indent, level):
+    t = type(obj)
+    if t is int:
+        return str(obj)
+    if t is float:
+        return fmt_float(obj)
+    if t is str:
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if isinstance(obj, (list, tuple)):
+        return _recursive_render_list(obj, indent, level)
+    if isinstance(obj, dict):
+        return _recursive_render_dict(obj, indent, level)
+    if isinstance(obj, np.ndarray):
+        return _recursive_render_list(obj.tolist(), indent, level)
+    if isinstance(obj, np.floating):
+        return fmt_float(float(obj))
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise ValidationError(f"cannot render object of type {type(obj).__name__}")
+
+
+def _recursive_render_list(obj, indent, level):
+    items = [_recursive_render(v, indent, level + 1) for v in obj]
+    if not items:
+        return "[]"
+    if indent is None:
+        return "[" + ", ".join(items) + "]"
+    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+    return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
+
+
+def _recursive_render_dict(obj, indent, level):
+    items = []
+    for k, v in obj.items():
+        if not isinstance(k, str):
+            raise ValidationError(f"report keys must be strings, got {k!r}")
+        items.append(f"{json.dumps(k)}: {_recursive_render(v, indent, level + 1)}")
+    if not items:
+        return "{}"
+    if indent is None:
+        return "{" + ", ".join(items) + "}"
+    pad, pad_in = " " * (indent * level), " " * (indent * (level + 1))
+    return "{\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "}"
+
+
+_row_ints = st.one_of(st.integers(-(2 ** 70), 2 ** 70), st.integers(-3, 3))
+_int_rows = st.integers(0, 4).flatmap(
+    lambda width: st.lists(
+        st.tuples(st.lists(_row_ints, min_size=width, max_size=width), st.booleans()).map(
+            lambda t: tuple(t[0]) if t[1] else t[0]
+        ),
+        max_size=6,
+    )
+)
+
+
+def _spoil(rows, spoiler, where, inside):
+    """rows with spoiler put in place of one item of one row (inside) or as an extra row."""
+    rows = list(rows)
+    i = where % len(rows)
+    if inside and rows[i]:
+        row = list(rows[i])
+        row[where % len(row)] = spoiler
+        rows[i] = row
+    else:
+        rows.insert(i, spoiler)
+    return rows
+
+
+# integer rows with one item of another kind, or one row of another width
+_spoiled_rows = st.builds(
+    _spoil,
+    _int_rows.filter(bool),
+    st.one_of(
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.integers(-5, 5).map(np.int64),
+        st.lists(_row_ints, max_size=5),
+        st.just(()),
+    ),
+    st.integers(0, 30),
+    st.booleans(),
+)
+_report_leaves = st.one_of(
+    st.integers(),
+    st.integers(2 ** 63, 2 ** 80),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.none(),
+    st.integers(-1000, 1000).map(np.int64),
+    st.lists(st.integers(-(2 ** 64), 2 ** 64), max_size=6),
+    st.lists(st.integers(-9, 9), max_size=6).map(tuple),
+    st.lists(st.integers(-1000, 1000), max_size=6).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(0, 9), min_size=1, max_size=6).map(lambda v: np.array(v, dtype=np.int64).reshape(-1, 1)),
+    st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)),
+    _int_rows,
+    _spoiled_rows,
+    st.just([]),
+)
+_reports = st.recursive(
+    _report_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_reports, indent=st.sampled_from([None, 2, 4]))
+def test_render_json_matches_recursive_renderer(doc, indent):
+    assert render_json(doc, indent=indent) == _recursive_render(doc, indent, 0)
+
+
+def test_render_json_long_integer_rows_match_recursive_renderer():
+    rng = np.random.default_rng(8)
+    ends = np.cumsum(rng.integers(1, 9, 5000)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))
+    doc = {"results": {"phrases": spans, "lists": [list(s) for s in spans], "multiplicities": ends}}
+    for indent in (None, 2, 4):
+        assert render_json(doc, indent=indent) == _recursive_render(doc, indent, 0)

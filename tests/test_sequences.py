@@ -9,6 +9,7 @@ from secwire.errors import ValidationError
 from secwire.sequences import (
     Alphabet,
     SymbolSequence,
+    _bulk_bytes,
     _bulk_readable,
     dump_sequence,
     load_sequence,
@@ -175,13 +176,19 @@ def test_dump_load_round_trip_property(tmp_path_factory, size, symbols, width):
     assert v.alphabet.size == size and v.data == u.data
 
 
+_wide_tokens = st.tuples(st.integers(0, 2), st.integers(0, 10 ** 21)).map(lambda t: "0" * t[0] + str(t[1]))
+_single_digits = st.integers(0, 9).map(str)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    tokens=st.lists(
-        st.tuples(st.integers(0, 2), st.integers(0, 10 ** 21)).map(lambda t: "0" * t[0] + str(t[1])),
-        max_size=40,
+    tokens=st.one_of(
+        st.lists(_wide_tokens, max_size=40),
+        st.lists(_single_digits, max_size=40),
+        st.lists(st.one_of(_single_digits, _wide_tokens), max_size=40),
     ),
-    seps=st.lists(st.sampled_from([" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "   "]), min_size=41, max_size=41),
+    # runs of the six ASCII separators; the first one follows the header, the last one ends the file
+    seps=st.lists(st.text(alphabet=" \n\t\r\x0b\x0c", min_size=1, max_size=4), min_size=41, max_size=41),
 )
 def test_digit_bodies_match_token_loop(tmp_path_factory, tokens, seps):
     text = "alphabet 1000000000000000000000000" + "".join(
@@ -191,6 +198,9 @@ def test_digit_bodies_match_token_loop(tmp_path_factory, tokens, seps):
     path.write_bytes(text.encode("utf-8"))
     u = load_sequence(path)
     assert (u.alphabet.size, u.data) == _token_loop(text)
+    if all(len(tok) == 1 for tok in tokens):
+        body = text.split(maxsplit=2)[2] if tokens else ""
+        assert _bulk_bytes(body) == (body.encode("ascii"), True)
 
 
 _body_pieces = st.one_of(
@@ -204,3 +214,35 @@ _body_pieces = st.one_of(
 def test_bulk_check_is_the_two_regex_test(body):
     regex_test = bool(re.fullmatch(r"[0-9\s]*", body, re.ASCII)) and not re.search(r"[0-9]{19}", body)
     assert _bulk_readable(body) == regex_test
+
+
+# Pieces of sequence-file bodies: digits and the six ASCII separators, the
+# other whitespace str.split knows, signs, non-ASCII digits, bytes that are not
+# UTF-8, and runs of 19 digits.
+_body_bytes = st.lists(
+    st.sampled_from(
+        [b"0", b"1", b"7", b"9", b"00", b"9" * 19, b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c", b"\x1c",
+         "\xa0".encode(), "\u0663".encode(), b"+", b"-", b"_", b".", b"x", b"\xff", b"\xc3"]
+    ),
+    max_size=30,
+).map(b"".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(size=st.integers(-1, 12), body=st.one_of(st.binary(max_size=40), _body_bytes))
+def test_loader_fuzz(tmp_path_factory, size, body):
+    data = f"alphabet {size}".encode() + body
+    path = tmp_path_factory.getbasetemp() / "fuzz.seq"
+    path.write_bytes(data)
+    try:
+        expected = _token_loop(data.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError):
+        expected = None
+    if expected is not None and expected[0] >= 1 and all(0 <= s < expected[0] for s in expected[1]):
+        u = load_sequence(path)
+        assert (u.alphabet.size, u.data) == expected
+    else:
+        # pytest.raises lets any other exception through, which fails the test
+        with pytest.raises(ValidationError) as err:
+            load_sequence(path)
+        assert str(err.value).startswith(f"{path}: ")
