@@ -32,9 +32,9 @@ import numpy as np
 
 from .channels import TransitionMatrix, sample
 from .errors import BudgetError, ValidationError
-from .parsing import _conditional_rate, conditional_lz_complexity
+from .parsing import _conditional_rates, conditional_lz_complexity
 from .rand import substream
-from .sequences import Alphabet, SymbolSequence
+from .sequences import Alphabet, SymbolSequence, unpack_symbols
 from .wyner_binning import WynerCode, ml_decode, wyner_encode
 
 LIST_BUDGET = 2 ** 20  # max alpha^n scanned by the decoder
@@ -189,16 +189,15 @@ def list_decode_step(
         return False, None
     shift = assign.bits_total - plen
     survivors = np.flatnonzero(assign._bin_table() >> shift == received_prefix)
-    best_rho, best_u = None, None
-    omega = w.alphabet.size
-    # ascending table index is lexicographic order, and strict < keeps the first minimum
-    for cand in map(tuple, _candidates(survivors, n, alpha).tolist()):
-        rho = _conditional_rate(cand, w.data, omega)
-        if best_rho is None or rho < best_rho:
-            best_rho, best_u = rho, cand
-    if best_rho is None:
+    if survivors.size == 0:
         return False, None
+    cands = _candidates(survivors, n, alpha)
+    rates = _conditional_rates(cands, unpack_symbols(w.packed(), w.alphabet.size), w.alphabet.size)
+    # ascending table index is lexicographic order, and index() finds the first minimum
+    best_rho = min(rates)
+    best_k = rates.index(best_rho)
     if n * best_rho <= threshold:
+        best_u = tuple(cands[best_k].tolist())
         if assign.bin_bits(best_u) >> shift != received_prefix:
             raise RuntimeError("bin table disagrees with bin_bits")
         return True, SymbolSequence(Alphabet(alpha), best_u)

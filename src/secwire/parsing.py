@@ -1,17 +1,23 @@
 """Incremental (LZ78) parsing, LZ complexity, and the conditional variant.
 
-One trie walk, _parse_stream, drives both the single-sequence parse and the
-pair parse; the prefix counts c(u^i) are read off the single-sequence parse.
-The pair parse walks the product alphabet, keying trie edges by the index
-u * |W| + w of each (u, w) symbol pair (an int hashes faster than a tuple).
-The conditional rate is summed by one function, _rate_of_multiplicities,
-straight off the pair walk's w-phrase counts: conditional_lz_complexity
-builds no JointPhraseParse.
+One walk, _phrase_ends, drives both the single-sequence parse and the pair
+parse; the prefix counts c(u^i) are read off the single-sequence parse. The
+walk reads symbols packed as fixed-width big-endian bytes (pack_symbols:
+1 byte per symbol up to 256 symbols, then 2, 4, 8, ... bytes) and takes one
+phrase per step. The phrases seen so far are prefix-closed, so whether the
+L symbols from a phrase start form a phrase flips from true to false once as
+L grows, and a new phrase is at most one symbol longer than the longest so
+far: a binary search with a few bytes-slice lookups in one set finds it. The
+pair parse walks the product alphabet, each (u, w) symbol pair packed as
+u * |W| + w (one NumPy expression over the packed sequences), and keys the
+w-phrase multiplicities by slices of w's packed bytes. The conditional rate
+is summed by one function, _rate_of_multiplicities, straight off the pair
+walk's w-phrase counts: conditional_lz_complexity builds no JointPhraseParse.
 
 Counting conventions differ deliberately between the two parses. The plain
 parse counts a trailing incomplete phrase toward c. The joint parse counts
 distinct phrases only, so a trailing incomplete pair phrase (which always
-retraces an existing trie path) is excluded; this is what makes
+matches an existing phrase) is excluded; this is what makes
 sum_l c_l == c_joint hold identically and conditional complexity of (u, u)
 vanish exactly.
 """
@@ -20,12 +26,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .sequences import SymbolSequence
+from .sequences import SymbolSequence, pack_symbols, symbol_width, unpack_symbols
 
 
 @dataclass(frozen=True)
@@ -61,35 +68,52 @@ class JointPhraseParse:
     dropped_incomplete: bool
 
 
-def _parse_stream(symbols) -> tuple:
-    """Core LZ78 walk; returns (complete spans, incomplete tail span or None)."""
-    root: dict = {}
-    node = root
-    spans = []
-    start = 0
-    i = -1
-    for i, sym in enumerate(symbols):
-        child = node.get(sym)
-        if child is None:
-            node[sym] = {}
-            spans.append((start, i + 1))
-            node = root
-            start = i + 1
-        else:
-            node = child
-    n = i + 1
-    tail = (start, n) if start < n else None
-    return spans, tail
+def _phrase_ends(packed: bytes, width: int) -> tuple:
+    """Core LZ78 walk over width-byte symbols.
+
+    Returns (the end of every complete phrase, in symbols; the start of an
+    incomplete tail phrase or None). The match from a start s is the largest
+    L with packed[s:s+L] (in symbols) a phrase; L = 0 always matches.
+    """
+    n = len(packed) // width
+    seen = set()
+    ends = []
+    s = longest = 0
+    while s < n:
+        b = s * width
+        hi = n - s
+        if longest < hi:
+            hi = longest
+        lo = 0
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            if packed[b : b + mid * width] in seen:
+                lo = mid
+            else:
+                hi = mid - 1
+        s += lo + 1
+        if s > n:
+            # the rest of the input matches a phrase
+            return ends, b // width
+        seen.add(packed[b : s * width])
+        if lo >= longest:
+            longest = lo + 1
+        ends.append(s)
+    return ends, None
+
+
+def _spans(ends) -> tuple:
+    return tuple(zip([0] + ends, ends))
 
 
 def incremental_parse(u: SymbolSequence) -> PhraseParse:
     """Parse u into distinct phrases, each a one-symbol extension of an earlier one."""
     if len(u) == 0:
         raise ValidationError("cannot parse an empty sequence")
-    spans, tail = _parse_stream(u.data)
+    ends, tail = _phrase_ends(u.packed(), symbol_width(u.alphabet.size))
     if tail is not None:
-        spans.append(tail)
-    return PhraseParse(phrases=tuple(spans), c=len(spans), last_incomplete=tail is not None)
+        ends.append(len(u))
+    return PhraseParse(phrases=_spans(ends), c=len(ends), last_incomplete=tail is not None)
 
 
 def _lz_rate(parse: PhraseParse, n: int) -> float:
@@ -111,20 +135,39 @@ def prefix_phrase_counts(u: SymbolSequence) -> tuple:
     return tuple(itertools.chain.from_iterable(itertools.repeat(j, b - a) for j, (a, b) in enumerate(spans, 1)))
 
 
-def _w_phrase_counts(spans, w_data) -> dict:
-    """Multiplicity c_l of each w-phrase among the pair spans, keyed in first-appearance order."""
+def _pair_stream(u: np.ndarray, w: np.ndarray, omega: int) -> tuple:
+    """(the pair symbols u * omega + w, packed; their width), for u and w arrays of nonnegative ints.
+
+    u may hold one sequence per row, each paired with w; the packed rows follow one another.
+    """
+    size = (int(u.max()) + 1) * omega
+    # the narrowest unsigned type that holds size itself, so omega fits too
+    width = symbol_width(size + 1)
+    dtype = np.dtype(f"u{width}") if width <= 8 else object
+    return pack_symbols(u.astype(dtype) * omega + w.astype(dtype), size), symbol_width(size)
+
+
+def _w_phrase_counts(ends, w_packed: bytes, w_width: int) -> dict:
+    """Multiplicity c_l of each packed w-phrase among the pair phrases ending at ends, in first-appearance order."""
     counts: dict = {}
-    for a, b in spans:
-        wpart = w_data[a:b]
+    a = 0
+    for b in ends:
+        wpart = w_packed[a * w_width : b * w_width]
         counts[wpart] = counts.get(wpart, 0) + 1
+        a = b
     return counts
 
 
 def _rate_of_multiplicities(multiplicities, n: int) -> float:
-    """(1/n) sum_l c_l log2 c_l, summed in the order given."""
+    """(1/n) sum_l c_l log2 c_l, summed in the order given.
+
+    A c_l of 1 adds 1 * log2(1) = +0.0, which leaves the nonnegative running
+    total unchanged bit for bit, so it is skipped.
+    """
     total = 0.0
     for c_l in multiplicities:
-        total += c_l * math.log2(c_l)
+        if c_l > 1:
+            total += c_l * math.log2(c_l)
     return total / n
 
 
@@ -135,35 +178,63 @@ def _check_pair(u: SymbolSequence, w: SymbolSequence) -> None:
         raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
 
 
+def _values(u: SymbolSequence) -> np.ndarray:
+    return unpack_symbols(u.packed(), u.alphabet.size)
+
+
 def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
     """Parse the pair stream ((u_1,w_1), ..., (u_n,w_n)) and bucket by w-phrase."""
     _check_pair(u, w)
     omega = w.alphabet.size
-    spans, tail = _parse_stream([a * omega + b for a, b in zip(u.data, w.data)])
-    counts = _w_phrase_counts(spans, w.data)
+    ends, tail = _phrase_ends(*_pair_stream(_values(u), _values(w), omega))
+    counts = _w_phrase_counts(ends, w.packed(), symbol_width(omega))
+    if symbol_width(omega) == 1:
+        w_phrases = tuple(zip(map(tuple, counts), counts.values()))
+    else:
+        w_phrases = tuple((tuple(unpack_symbols(k, omega).tolist()), m) for k, m in counts.items())
     return JointPhraseParse(
-        phrases=tuple(spans),
-        c_joint=len(spans),
-        w_phrases=tuple(counts.items()),
+        phrases=_spans(ends),
+        c_joint=len(ends),
+        w_phrases=w_phrases,
         c_w=len(counts),
         dropped_incomplete=tail is not None,
     )
 
 
-def _conditional_rate(u: tuple, w: tuple, omega: int) -> float:
-    """conditional_lz_complexity of equal-length nonempty symbol tuples, w over omega symbols.
+def _conditional_rates(u_rows: np.ndarray, w: np.ndarray, omega: int) -> list:
+    """Conditional rate of each row of u_rows given w (n >= 1 symbols over omega), in row order.
 
     It builds no SymbolSequence and no JointPhraseParse, and sums c_l log2 c_l
     in joint_parse's first-appearance order of the w-phrases.
     """
-    spans, _ = _parse_stream([a * omega + b for a, b in zip(u, w)])
-    return _rate_of_multiplicities(_w_phrase_counts(spans, w).values(), len(u))
+    n = w.size
+    pairs, width = _pair_stream(u_rows, w, omega)
+    w_packed, w_width, step = pack_symbols(w, omega), symbol_width(omega), n * width
+    return [
+        _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs[a : a + step], width)[0], w_packed, w_width).values(), n)
+        for a in range(0, len(pairs), step)
+    ]
+
+
+def _conditional_rate(u, w, omega: int) -> float:
+    """conditional_lz_complexity of equal-length nonempty symbol arrays or tuples, w over omega symbols."""
+    return _conditional_rates(np.asarray(u)[np.newaxis], np.asarray(w), omega)[0]
 
 
 def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
     """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol."""
     _check_pair(u, w)
-    return _conditional_rate(u.data, w.data, w.alphabet.size)
+    return _conditional_rate(_values(u), _values(w), w.alphabet.size)
+
+
+def _block_length(block) -> int:
+    try:
+        block = operator.index(block)
+    except TypeError:
+        raise ValidationError(f"block length must be an integer, got {block!r}") from None
+    if block < 1:
+        raise ValidationError(f"block length must be >= 1, got {block}")
+    return block
 
 
 def empirical_block_entropy(u: SymbolSequence, block: int) -> float:
@@ -177,8 +248,7 @@ def empirical_block_entropy(u: SymbolSequence, block: int) -> float:
         H(empirical K-block distribution) / K in bits per symbol.
     """
     n = len(u)
-    if block < 1:
-        raise ValidationError(f"block length must be >= 1, got {block}")
+    block = _block_length(block)
     if n == 0 or n % block != 0:
         raise ValidationError(f"block length {block} does not divide n = {n}")
     blocks = u.array().reshape(n // block, block)
@@ -200,6 +270,7 @@ def entropy_vs_lz_margin(u: SymbolSequence, block: int, eps_n: float = 0.0) -> f
         raise ValidationError("diagnostic needs n >= 2")
     if not 0.0 <= eps_n < 1.0:
         raise ValidationError(f"eps_n must lie in [0, 1), got {eps_n}")
+    block = _block_length(block)
     alpha = u.alphabet.size
     la = math.log2(alpha) if alpha > 1 else 0.0
     slack = (

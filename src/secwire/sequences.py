@@ -18,6 +18,7 @@ np.fromstring. Every other body goes through int() token by token.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -77,24 +78,79 @@ class Alphabet:
         return 0 <= symbol < self.size
 
 
+def symbol_width(size: int) -> int:
+    """Bytes per symbol in the packed form of symbols in [0, size): 1 up to 256 symbols, then 2, 4, 8, 16, ..."""
+    width = 1
+    while (size - 1) >> (8 * width):
+        width *= 2
+    return width
+
+
+def pack_symbols(values, size: int) -> bytes:
+    """Symbols in [0, size) as big-endian words of symbol_width(size) bytes, in C order.
+
+    values is an integer ndarray (of any shape, object arrays included) or a
+    sequence of ints.
+    """
+    width = symbol_width(size)
+    if width <= 8:
+        return np.asarray(values, dtype=f">u{width}").tobytes()
+    return b"".join(int(v).to_bytes(width, "big") for v in np.ravel(np.asarray(values, dtype=object)))
+
+
+def unpack_symbols(packed: bytes, size: int) -> np.ndarray:
+    """The symbols of pack_symbols(values, size) as a 1-D array: unsigned ints, or Python ints past 8 bytes."""
+    width = symbol_width(size)
+    if width <= 8:
+        return np.frombuffer(packed, dtype=f">u{width}")
+    words = range(0, len(packed), width)
+    return np.array([int.from_bytes(packed[i : i + width], "big") for i in words], dtype=object)
+
+
+def _non_integer(items):
+    """The first item operator.index rejects."""
+    for item in items:
+        try:
+            operator.index(item)
+        except TypeError:
+            return item
+
+
 @dataclass(frozen=True)
 class SymbolSequence:
     """Immutable sequence of symbols over a fixed alphabet.
 
-    data may be any iterable of integers; a 1-D integer ndarray is checked
-    with min/max in bulk. It is stored as a tuple of Python ints.
+    data may be any iterable of integers (whatever operator.index accepts, so
+    not floats); a 1-D integer ndarray is checked with min/max in bulk.
+    It is stored as a tuple of Python ints. The parser reads the symbols
+    packed (pack_symbols over the alphabet), which packed() builds once and
+    keeps; a uint8 array over at most 256 symbols is packed at construction.
     """
 
     alphabet: Alphabet
     data: tuple = field(default=())
+    _packed: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         raw = self.data
-        if isinstance(raw, np.ndarray) and raw.ndim == 1 and raw.dtype.kind in "iu":
+        if isinstance(raw, np.ndarray) and raw.ndim != 1:
+            raise ValidationError(f"symbols must form a 1-D array, got {raw.ndim}-D")
+        if isinstance(raw, np.ndarray) and raw.dtype.kind in "iu":
             lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
-            data = tuple(raw.tolist())
+            if raw.dtype == np.uint8:
+                # tuple() of bytes yields Python ints, at less than half the cost of tolist()
+                raw_bytes = raw.tobytes()
+                data = tuple(raw_bytes)
+                if symbol_width(self.alphabet.size) == 1:
+                    object.__setattr__(self, "_packed", raw_bytes)
+            else:
+                data = tuple(raw.tolist())
         else:
-            data = tuple(map(int, raw))
+            items = tuple(raw)
+            try:
+                data = tuple(map(operator.index, items))
+            except TypeError:
+                raise ValidationError(f"symbol {_non_integer(items)!r} is not an integer") from None
             lo, hi = (min(data), max(data)) if data else (0, 0)
         object.__setattr__(self, "data", data)
         if lo < 0 or hi >= self.alphabet.size:
@@ -115,6 +171,10 @@ class SymbolSequence:
         return iter(self.data)
 
     def prefix(self, n: int) -> "SymbolSequence":
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValidationError(f"prefix length {n!r} is not an integer") from None
         if not 0 <= n <= len(self.data):
             raise ValidationError(f"prefix length {n} outside [0, {len(self.data)}]")
         if n == len(self.data):
@@ -123,6 +183,12 @@ class SymbolSequence:
 
     def array(self) -> np.ndarray:
         return np.asarray(self.data, dtype=np.int64)
+
+    def packed(self) -> bytes:
+        """The symbols as pack_symbols(data, alphabet size), built on first use and kept."""
+        if self._packed is None:
+            object.__setattr__(self, "_packed", pack_symbols(self.data, self.alphabet.size))
+        return self._packed
 
 
 def sequence_from_array(values, alphabet_size: int) -> SymbolSequence:

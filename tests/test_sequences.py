@@ -13,7 +13,10 @@ from secwire.sequences import (
     _bulk_readable,
     dump_sequence,
     load_sequence,
+    pack_symbols,
     sequence_from_array,
+    symbol_width,
+    unpack_symbols,
 )
 
 
@@ -151,7 +154,59 @@ def test_symbol_sequence_from_int_array():
         SymbolSequence(Alphabet(3), np.array([0, 5, -1, 7]))
     with pytest.raises(ValidationError, match="symbol -1 outside alphabet of size 3"):
         SymbolSequence(Alphabet(3), (0, 1, -1, 5))
-    assert SymbolSequence(Alphabet(2), np.array([1.7, 0.2])).data == (1, 0)
+    # a float array is rejected, not truncated to (1, 0)
+    with pytest.raises(ValidationError, match="is not an integer"):
+        SymbolSequence(Alphabet(2), np.array([1.7, 0.2]))
+
+
+@pytest.mark.parametrize(
+    "symbols, message",
+    [
+        ((0.7, 1.2), "symbol 0.7 is not an integer"),
+        ([0, 1.0], "symbol 1.0 is not an integer"),
+        (np.array([0.5, 1.9]), "is not an integer"),
+        ((0, float("nan")), "symbol nan is not an integer"),
+        (np.array([0.0, np.nan]), "is not an integer"),
+        (("0", "1"), "symbol '0' is not an integer"),
+        (np.array([[0, 1], [1, 0]]), "symbols must form a 1-D array, got 2-D"),
+        (np.array(1), "symbols must form a 1-D array, got 0-D"),
+    ],
+)
+def test_symbol_sequence_rejects_non_integer_symbols(symbols, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        SymbolSequence(Alphabet(2), symbols)
+
+
+def test_symbol_sequence_accepts_integer_types():
+    u = SymbolSequence(Alphabet(3), [np.int64(2), np.uint8(1), True, 0])
+    assert u.data == (2, 1, 1, 0) and all(type(s) is int for s in u.data)
+    assert SymbolSequence(Alphabet(3), np.array([2, 1], dtype=object)).data == (2, 1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32 + 1, 2 ** 64, 2 ** 64 + 1, 3 ** 50])
+def test_packed_symbols_round_trip(size):
+    width = symbol_width(size)
+    assert width in (1, 2, 4, 8, 16) and size - 1 < 256 ** width
+    symbols = (0, size - 1, (size - 1) // 2, 0)
+    u = SymbolSequence(Alphabet(size), symbols)
+    assert len(u.packed()) == len(symbols) * width
+    assert u.packed()[:width] == (0).to_bytes(width, "big")
+    assert u.packed()[width : 2 * width] == (size - 1).to_bytes(width, "big")
+    assert tuple(unpack_symbols(u.packed(), size).tolist()) == symbols
+    assert pack_symbols(np.array(symbols, dtype=object), size) == u.packed()
+
+
+def test_packed_bytes_are_a_cache_outside_equality():
+    from_array = SymbolSequence(Alphabet(4), np.array([3, 0, 2], dtype=np.uint8))
+    from_tuple = SymbolSequence(Alphabet(4), (3, 0, 2))
+    assert from_array._packed == b"\x03\x00\x02" and from_tuple._packed is None
+    assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+    assert repr(from_array) == repr(from_tuple)
+    assert from_tuple.packed() == from_array.packed()
+    assert from_tuple.packed() is from_tuple.packed()
+    # a uint8 array over more than 256 symbols packs two bytes a symbol, on first use
+    wide = SymbolSequence(Alphabet(300), np.array([1, 255], dtype=np.uint8))
+    assert wide._packed is None and wide.packed() == b"\x00\x01\x00\xff"
 
 
 def test_full_prefix_is_the_sequence():
