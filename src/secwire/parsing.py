@@ -9,8 +9,9 @@ L symbols from a phrase start form a phrase flips from true to false once as
 L grows, and a new phrase is at most one symbol longer than the longest so
 far: a binary search with a few bytes-slice lookups in one set finds it. The
 pair parse walks the product alphabet, each (u, w) symbol pair packed as
-u * |W| + w (one NumPy expression over the packed sequences), and keys the
-w-phrase multiplicities by slices of w's packed bytes. The conditional rate
+u * |W| + w (one NumPy expression over the packed sequences, or a Python
+comprehension for a short one-byte pair stream), and keys the w-phrase
+multiplicities by slices of w's packed bytes. The conditional rate
 is summed by one function, _rate_of_multiplicities, straight off the pair
 walk's w-phrase counts: conditional_lz_complexity builds no JointPhraseParse.
 
@@ -33,6 +34,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .sequences import SymbolSequence, pack_symbols, symbol_width, unpack_symbols
+
+
+# pair streams up to this many symbols are built without NumPy (see _conditional_rate)
+SHORT_PAIR_SYMBOLS = 64
 
 
 @dataclass(frozen=True)
@@ -217,13 +222,25 @@ def _conditional_rates(u_rows: np.ndarray, w: np.ndarray, omega: int) -> list:
 
 
 def _conditional_rate(u, w, omega: int) -> float:
-    """conditional_lz_complexity of equal-length nonempty symbol arrays or tuples, w over omega symbols."""
+    """conditional_lz_complexity of equal-length nonempty symbol arrays or tuples, w over omega symbols.
+
+    At most SHORT_PAIR_SYMBOLS pairs that fit one byte, (max(u) + 1) * omega
+    <= 256, are built in Python: for so few symbols, NumPy's fixed cost per
+    call would be most of the work. The pair bytes are the same either way.
+    """
+    n = len(w)
+    if n <= SHORT_PAIR_SYMBOLS and (max(u) + 1) * omega <= 256:
+        pairs = bytes([a * omega + b for a, b in zip(u, w)])
+        return _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs, 1)[0], bytes([*w]), 1).values(), n)
     return _conditional_rates(np.asarray(u)[np.newaxis], np.asarray(w), omega)[0]
 
 
 def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
     """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol."""
     _check_pair(u, w)
+    # short sequences pass their tuples, long ones arrays read off their packed bytes
+    if len(u) <= SHORT_PAIR_SYMBOLS:
+        return _conditional_rate(u.data, w.data, w.alphabet.size)
     return _conditional_rate(_values(u), _values(w), w.alphabet.size)
 
 

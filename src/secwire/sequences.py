@@ -93,6 +93,8 @@ def pack_symbols(values, size: int) -> bytes:
     sequence of ints.
     """
     width = symbol_width(size)
+    if width == 1 and isinstance(values, tuple):
+        return bytes(values)
     if width <= 8:
         return np.asarray(values, dtype=f">u{width}").tobytes()
     return b"".join(int(v).to_bytes(width, "big") for v in np.ravel(np.asarray(values, dtype=object)))
@@ -125,6 +127,8 @@ class SymbolSequence:
     It is stored as a tuple of Python ints. The parser reads the symbols
     packed (pack_symbols over the alphabet), which packed() builds once and
     keeps; a uint8 array over at most 256 symbols is packed at construction.
+    Slices and prefixes are not checked again, and a contiguous one cuts the
+    packed bytes when they are built.
     """
 
     alphabet: Alphabet
@@ -164,7 +168,7 @@ class SymbolSequence:
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
-            return SymbolSequence(self.alphabet, self.data[idx])
+            return self._cut(idx)
         return self.data[idx]
 
     def __iter__(self):
@@ -179,7 +183,23 @@ class SymbolSequence:
             raise ValidationError(f"prefix length {n} outside [0, {len(self.data)}]")
         if n == len(self.data):
             return self
-        return SymbolSequence(self.alphabet, self.data[:n])
+        return self._cut(slice(n))
+
+    def _cut(self, sl: slice) -> "SymbolSequence":
+        """self[sl] without a second check: a slice of valid symbols is valid.
+
+        A contiguous slice also cuts the packed bytes, when they are built.
+        """
+        cut = object.__new__(SymbolSequence)
+        object.__setattr__(cut, "alphabet", self.alphabet)
+        object.__setattr__(cut, "data", self.data[sl])
+        start, stop, step = sl.indices(len(self.data))
+        packed = None
+        if self._packed is not None and step == 1:
+            width = symbol_width(self.alphabet.size)
+            packed = self._packed[start * width : max(start, stop) * width]
+        object.__setattr__(cut, "_packed", packed)
+        return cut
 
     def array(self) -> np.ndarray:
         return np.asarray(self.data, dtype=np.int64)

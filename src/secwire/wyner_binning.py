@@ -5,10 +5,15 @@ bin, drawn i.i.d. from the input distribution. The secret selects the bin,
 local randomness selects the codeword inside it.
 
 Leakage I(secret; Z^N) is computed exactly by enumerating the eavesdropper's
-output space. The output laws are built one bin at a time, so memory holds
-one bin's laws (2^random_bits x |Z|^N) plus the per-bin averages
-(2^secret_bits x |Z|^N), never the whole codebook's; the budget is still
-checked against the whole-codebook count before anything is allocated.
+output space. Each bin's summed output law is contracted backward over the
+prefix tree of its codewords: a node's table is sum_x rows[x] (outer) its
+child x's table, so codewords that share a prefix share its work, and a
+repeated codeword enters once, as a count. Each depth is one batched matrix
+product over a zero-padded child array. Bins are contracted in groups whose
+arrays hold at most LEAKAGE_BLOCK_ENTRIES entries (a group is never smaller
+than one bin), and each group's laws are written straight into the per-bin
+array (2^secret_bits x |Z|^N). The budget is checked against the
+whole-codebook count before anything is allocated.
 
 ML decoding has one scorer, _ml_decisions, for a stack of received words:
 each word's (input, output) pair counts for every codeword come from 0/1
@@ -49,6 +54,8 @@ from .sequences import Alphabet, SymbolSequence
 LOG_FLOOR = -1e18
 # entries per Monte Carlo trial block (2^19 float64 = 4 MiB)
 MC_BLOCK_ENTRIES = 2 ** 19
+# entries of the temporary tables of one group of bins in code_leakage (2^16 float64 = 512 KiB)
+LEAKAGE_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +193,11 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
 
     Raises BudgetError, before allocating anything, when the whole codebook's
     output laws would exceed ENUMERATION_BUDGET entries. Within the budget,
-    the laws P(z^N | codeword) are built one bin at a time: each step
-    multiplies every partial law by one channel entry, the same products as
-    a single broadcast over the whole codebook, so the result equals that
-    direct formula bit for bit. Peak memory is one bin's laws plus the
-    (bins, |Z|^N) per-bin averages.
+    each bin's law is contracted over its codewords' prefix tree (see
+    _contract_bins), then divided by words_per_bin. The sums run in tree
+    order, not codeword order, so the result can differ from the direct
+    per-codeword formula in the last bits. Peak memory is the (bins, |Z|^N)
+    per-bin laws plus one group's tables.
     """
     if eaves_channel.in_alphabet.size != code.in_size:
         raise ValidationError(
@@ -202,19 +209,71 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
     total = code.bins * code.words_per_bin * z_size ** code.block_len
     if total > ENUMERATION_BUDGET:
         raise BudgetError(f"output-law enumeration needs {total} entries, budget {ENUMERATION_BUDGET}")
-    per_bin = np.empty((code.bins, z_size ** code.block_len))
-    for s, words in enumerate(code.codebook):
-        laws = np.ones((code.words_per_bin, 1))
-        for i in range(code.block_len):
-            step = rows[words[:, i]]
-            out = np.empty(laws.shape + (z_size,))
-            for b in range(z_size):
-                np.multiply(laws, step[:, b, None], out=out[:, :, b])
-            laws = out.reshape(code.words_per_bin, -1)
-        per_bin[s] = laws.mean(axis=0)
+    per_bin = _contract_bins(code, rows)
+    per_bin /= code.words_per_bin
     marginal = per_bin.mean(axis=0)
     h_cond = sum(_entropy_raw(row) for row in per_bin) / code.bins
     return max(_entropy_raw(marginal) - h_cond, 0.0)
+
+
+def _contract_bins(code: WynerCode, rows: np.ndarray) -> np.ndarray:
+    """Each bin's summed output law sum_w P(z^N | codeword w), as a (bins, |Z|^N) array.
+
+    The sorted unique (bin, x_1 .. x_N) keys are the leaves of a prefix tree,
+    each with its codeword count as its table. From depth N down to 1, the
+    nodes of depth d are grouped under their length-(d - 1) parents, and
+    each parent's table is rows.T @ pad, where pad[x] is the table of its
+    child x (zero when there is none). Only each key's first differing
+    column from the key before it is needed: a node starts a new parent when
+    that column is below d. Bins go in groups whose largest depth (old
+    tables, pad and new tables) fits LEAKAGE_BLOCK_ENTRIES; a bin's result
+    does not depend on its group.
+    """
+    n = code.block_len
+    x_size, z_size = rows.shape
+    # (bin, x_1 .. x_N) rows in the narrowest unsigned type, which lexsort sorts by radix
+    keys = np.empty((code.bins * code.words_per_bin, n + 1), np.min_scalar_type(max(code.bins, x_size) - 1))
+    keys[:, 0] = np.repeat(np.arange(code.bins), code.words_per_bin)
+    keys[:, 1:] = code.codebook.reshape(-1, n)
+    keys = keys[np.lexsort(keys.T[::-1])]
+    differs = keys[1:] != keys[:-1]
+    distinct = np.flatnonzero(np.concatenate(([True], differs.any(axis=1))))
+    counts = np.diff(distinct, append=len(keys))
+    first_diff = np.concatenate(([0], np.argmax(differs, axis=1)))[distinct]
+    keys = keys[distinct]
+    # a bin has at most min(|X|^(d-1), words_per_bin) nodes of depth d - 1, and |X| >= 2
+    per_bin_entries = max(
+        min(x_size ** min(d - 1, code.random_bits), code.words_per_bin)
+        * z_size ** (n - d) * 2 * max(x_size, z_size)
+        for d in range(1, n + 1)
+    )
+    group = max(1, LEAKAGE_BLOCK_ENTRIES // per_bin_entries)
+    bin_starts = np.searchsorted(keys[:, 0], np.arange(0, code.bins + group, group).clip(max=code.bins))
+    per_bin = None
+    for b0, lo, hi in zip(range(0, code.bins, group), bin_starts[:-1], bin_starts[1:]):
+        nodes = np.arange(lo, hi)
+        tables = counts[lo:hi, None].astype(float)
+        for d in range(n, 0, -1):
+            starts = first_diff[nodes] < d
+            parent = np.cumsum(starts) - 1
+            parents = int(parent[-1]) + 1
+            if len(nodes) == parents * x_size:
+                # every parent has all |X| children, in digit order: the tables already are pad
+                pad = tables.reshape(parents, x_size, -1)
+            else:
+                pad = np.zeros((parents, x_size, tables.shape[1]))
+                pad[parent, keys[nodes, d]] = tables
+            del tables
+            out = None
+            if d == 1:
+                # allocated only now, so that it never coexists with the first group's deeper tables
+                if per_bin is None:
+                    per_bin = np.empty((code.bins, z_size ** n))
+                out = per_bin[b0 : b0 + parents].reshape(parents, z_size, -1)
+            tables = np.matmul(rows.T, pad, out=out).reshape(parents, -1)
+            del pad
+            nodes = nodes[starts]
+    return per_bin
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """The batched and cached kernels against the straightforward forms they replace.
 
 Each reference below is the plain per-item computation; the fast path must
-reproduce it bit for bit (==, not isclose).
+reproduce it bit for bit (==, not isclose). The one exception is the
+whole-codebook leakage formula: the prefix-tree contraction in code_leakage
+sums in another order, so it is checked to 1e-13 bits, and a frozen copy of
+the contraction pins its bits.
 """
 
 import hashlib
@@ -328,9 +331,63 @@ def _whole_codebook_leakage(code, ch):
     ],
 )
 def test_code_leakage_equals_whole_codebook_formula(n, secret_bits, random_bits, dist, rows):
+    # the prefix-tree contraction sums in tree order, not codeword order, so
+    # the last bits may differ (by at most 8.9e-16 bits over these cases);
+    # test_code_leakage_equals_frozen_contraction pins the bits
     code = wb.build_code(n, secret_bits, random_bits, dist, seed=n)
     ch = channel_from_rows(rows)
-    assert wb.code_leakage(code, ch) == _whole_codebook_leakage(code, ch)
+    assert math.isclose(wb.code_leakage(code, ch), _whole_codebook_leakage(code, ch), rel_tol=0, abs_tol=1e-13)
+
+
+def _frozen_contraction_leakage(code, ch):
+    # the prefix-tree contraction over the whole codebook at once: no groups
+    # of bins, and every depth scattered into a zero-padded child array
+    n = code.block_len
+    rows = ch.rows
+    bin_of = np.repeat(np.arange(code.bins), code.words_per_bin)
+    keys, counts = np.unique(np.column_stack((bin_of, code.codebook.reshape(-1, n))), axis=0, return_counts=True)
+    first_diff = np.zeros(len(keys), dtype=int)
+    first_diff[1:] = np.argmax(keys[1:] != keys[:-1], axis=1)
+    nodes = np.arange(len(keys))
+    tables = counts.astype(float)[:, None]
+    for d in range(n, 0, -1):
+        starts = first_diff[nodes] < d
+        parent = np.cumsum(starts) - 1
+        pad = np.zeros((parent[-1] + 1, rows.shape[0], tables.shape[1]))
+        pad[parent, keys[nodes, d]] = tables
+        tables = np.matmul(rows.T, pad).reshape(len(pad), -1)
+        nodes = nodes[starts]
+    per_bin = tables / code.words_per_bin
+    marginal = per_bin.mean(axis=0)
+    h_cond = sum(im._entropy_raw(row) for row in per_bin) / code.bins
+    return max(im._entropy_raw(marginal) - h_cond, 0.0)
+
+
+@pytest.mark.parametrize("block_entries", [wb.LEAKAGE_BLOCK_ENTRIES, 1])
+@pytest.mark.parametrize(
+    "n, secret_bits, random_bits, dist, rows",
+    [
+        (1, 1, 0, [0.5, 0.5], bsc(0.2).rows),
+        (5, 2, 0, [0.5, 0.5], bsc(0.1).rows),
+        (8, 3, 3, [0.5, 0.5], bsc(0.25).rows),
+        (10, 4, 4, [0.3, 0.7], [[0.9, 0.1], [0.0, 1.0]]),
+        (4, 2, 2, [0.2, 0.3, 0.5], [[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.2, 0.2, 0.6]]),
+        (5, 2, 1, [0.5, 0.5], [[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]]),
+        # every codeword is 0...0: one leaf per bin, counted words_per_bin times
+        (6, 2, 3, [1.0, 0.0], bsc(0.1).rows),
+        # repeated codewords, bins missing a symbol at some depths, and a 1-output channel
+        (4, 2, 2, [0.8, 0.2], bsc(0.3).rows),
+        (6, 3, 2, [0.1, 0.6, 0.3], [[0.5, 0.5], [1.0, 0.0], [0.2, 0.8]]),
+        (7, 3, 3, [0.5, 0.5], [[1.0], [1.0]]),
+        (12, 6, 6, [0.5, 0.5], bsc(0.2).rows),
+    ],
+)
+def test_code_leakage_equals_frozen_contraction(monkeypatch, block_entries, n, secret_bits, random_bits, dist, rows):
+    # bit for bit, with bins in groups of the default size and one bin at a time
+    monkeypatch.setattr(wb, "LEAKAGE_BLOCK_ENTRIES", block_entries)
+    code = wb.build_code(n, secret_bits, random_bits, dist, seed=n + 1)
+    ch = channel_from_rows(rows)
+    assert wb.code_leakage(code, ch) == _frozen_contraction_leakage(code, ch)
 
 
 def test_code_leakage_checks_budget_before_allocating():

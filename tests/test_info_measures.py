@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, identity_channel
 from secwire.errors import InfeasibleError, ValidationError
@@ -220,6 +222,35 @@ def test_gamma_curve_shape():
     assert math.isclose(rates[-1], curve.c_m)
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-6
+
+
+@st.composite
+def _degraded_triples(draw):
+    # X -> Y -> Z with random row weights, zeros allowed (outputs a row rules out)
+    sizes = [draw(st.integers(1, 5)) for _ in range(3)]
+
+    def weights(n_in, n_out):
+        rows = [draw(st.lists(st.integers(0, 20), min_size=n_out, max_size=n_out).filter(any)) for _ in range(n_in)]
+        return np.array(rows, dtype=float)
+
+    main = weights(sizes[0], sizes[1])
+    leak = weights(sizes[1], sizes[2])
+    p = weights(1, sizes[0])[0]
+    return (
+        p / p.sum(),
+        ChannelTriple(
+            channel_from_rows(main / main.sum(axis=1, keepdims=True)),
+            channel_from_rows(leak / leak.sum(axis=1, keepdims=True)),
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degraded_triples())
+def test_data_processing_hypothesis(case):
+    # I(X;Z) <= I(X;Y) for every input law of every degraded triple
+    p, triple = case
+    assert mutual_information(p, triple.cascade) <= mutual_information(p, triple.main) + 1e-12
 
 
 def test_data_processing_on_triples():

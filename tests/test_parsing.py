@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from secwire import feedback_binning as fb
 from secwire.errors import ValidationError
 from secwire.parsing import (
+    SHORT_PAIR_SYMBOLS,
     JointPhraseParse,
     PhraseParse,
     _conditional_rate,
@@ -324,6 +325,23 @@ def test_pair_parses_match_frozen_copies(case):
     want = _frozen_conditional_lz_complexity(u, w)
     assert conditional_lz_complexity(u, w) == want
     assert _conditional_rate(u.data, w.data, w.alphabet.size) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs(max_len=2 * SHORT_PAIR_SYMBOLS))
+@example((SymbolSequence(Alphabet(16), (15,) * 64), SymbolSequence(Alphabet(16), tuple(range(16)) * 4)))
+@example((SymbolSequence(Alphabet(16), (15,) * 65), SymbolSequence(Alphabet(16), (0,) * 65)))
+@example((SymbolSequence(Alphabet(2), (1, 0, 1)), SymbolSequence(Alphabet(129), (128, 0, 128))))
+def test_short_pairs_match_frozen_copy(case):
+    # up to SHORT_PAIR_SYMBOLS one-byte pairs are built in Python, from tuples
+    # or arrays; past either limit NumPy builds them
+    u, w = case
+    if len(u) == 0:
+        return
+    want = _frozen_conditional_lz_complexity(u, w)
+    assert conditional_lz_complexity(u, w) == want
+    assert _conditional_rate(u.data, w.data, w.alphabet.size) == want
+    assert _conditional_rate(u.array(), w.array(), w.alphabet.size) == want
 
 
 @pytest.mark.parametrize("alpha, omega", [(2, 200), (20, 13), (1, 256), (1, 2 ** 64), (2 ** 30, 2 ** 40), (3, 2 ** 64), (2 ** 64, 2)])

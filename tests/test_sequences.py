@@ -209,6 +209,32 @@ def test_packed_bytes_are_a_cache_outside_equality():
     assert wide._packed is None and wide.packed() == b"\x00\x01\x00\xff"
 
 
+@pytest.mark.parametrize("size", [1, 2, 256, 257, 2 ** 16 + 1, 2 ** 40])
+@pytest.mark.parametrize("built", [True, False])
+def test_prefix_and_slices_cut_the_packed_bytes(size, built):
+    rng = np.random.default_rng(size)
+    data = (0, size - 1) + tuple(int(v) % size for v in rng.integers(0, 2 ** 62, 40))
+    u = SymbolSequence(Alphabet(size), data)
+    if built:
+        u.packed()
+    for n in (0, 1, 17, len(data) - 1):
+        p = u.prefix(n)
+        assert p == SymbolSequence(Alphabet(size), data[:n]) and hash(p) == hash(SymbolSequence(Alphabet(size), data[:n]))
+        assert (p._packed is not None) == built
+        assert p.packed() == pack_symbols(p.data, size)
+    for sl in (slice(3, 30), slice(-7, None), slice(30, 3), slice(None, None, 3), slice(25, 2, -2)):
+        cut = u[sl]
+        assert cut.alphabet == u.alphabet and cut.data == data[sl]
+        assert cut.packed() == pack_symbols(data[sl], size)
+
+
+def test_pack_symbols_packs_a_tuple_as_its_bytes():
+    values = tuple(range(256)) + (0, 255, 7)
+    assert pack_symbols(values, 256) == bytes(values) == np.asarray(values, dtype=">u1").tobytes()
+    assert pack_symbols(values, 300) == np.asarray(values, dtype=">u2").tobytes()
+    assert pack_symbols(np.array(values), 256) == bytes(values)
+
+
 def test_full_prefix_is_the_sequence():
     u = SymbolSequence(Alphabet(2), (0, 1, 1))
     assert u.prefix(3) is u

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from secwire.channels import ChannelTriple, bsc, identity_channel
+from secwire.channels import ChannelTriple, bsc, channel_from_rows, identity_channel
 from secwire.errors import BudgetError, ValidationError
 from secwire.info_measures import entropy
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
@@ -125,6 +127,40 @@ def test_code_leakage_matches_brute_force():
         code = build_code(4, 1, int(rng.integers(0, 3)), [0.5, 0.5], seed=int(rng.integers(1000)))
         ch = bsc(float(rng.random() * 0.4 + 0.05))
         assert math.isclose(code_leakage(code, ch), _brute_force_leakage(code, ch), abs_tol=1e-10)
+
+
+@st.composite
+def _leakage_cases(draw):
+    x_size = draw(st.integers(2, 3))
+    z_size = draw(st.integers(1, 3))
+    # the brute force costs codewords * |Z|^N * N Python steps: 3 outputs stop at N = 6
+    n = draw(st.integers(1, 8 if z_size < 3 else 6))
+    capacity = math.floor(n * math.log2(x_size) + 1e-12)
+    secret_bits = draw(st.integers(1, min(3, capacity)))
+    random_bits = draw(st.integers(0, min(3, capacity - secret_bits)))
+    # integer weights with zeros: a symbol the code never uses (at a small N every
+    # codeword repeats) and channel rows that rule outputs out
+    dist = draw(st.lists(st.integers(0, 4), min_size=x_size, max_size=x_size).filter(any))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=z_size, max_size=z_size).filter(any),
+            min_size=x_size,
+            max_size=x_size,
+        )
+    )
+    seed = draw(st.integers(0, 2 ** 16))
+    code = build_code(n, secret_bits, random_bits, np.array(dist) / sum(dist), seed=seed)
+    return code, channel_from_rows(np.array(rows) / np.sum(rows, axis=1, keepdims=True))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_leakage_cases())
+@example((build_code(2, 1, 1, [0.5, 0.5], seed=3), channel_from_rows([[0.9, 0.1], [0.0, 1.0]])))
+@example((build_code(5, 2, 3, [1.0, 0.0], seed=4), channel_from_rows([[0.9, 0.1], [0.0, 1.0]])))
+@example((build_code(1, 1, 0, [0.5, 0.0, 0.5], seed=5), channel_from_rows([[1.0], [1.0], [1.0]])))
+def test_code_leakage_contraction_matches_brute_force(case):
+    code, ch = case
+    assert math.isclose(code_leakage(code, ch), _brute_force_leakage(code, ch), rel_tol=0, abs_tol=1e-12)
 
 
 def test_code_leakage_extremes():
