@@ -9,11 +9,12 @@ L symbols from a phrase start form a phrase flips from true to false once as
 L grows, and a new phrase is at most one symbol longer than the longest so
 far: a binary search with a few bytes-slice lookups in one set finds it. The
 pair parse walks the product alphabet, each (u, w) symbol pair packed as
-u * |W| + w (one NumPy expression over the packed sequences, or a Python
-comprehension for a short one-byte pair stream), and keys the w-phrase
-multiplicities by slices of w's packed bytes. The conditional rate
-is summed by one function, _rate_of_multiplicities, straight off the pair
-walk's w-phrase counts: conditional_lz_complexity builds no JointPhraseParse.
+u * |W| + w (one NumPy expression over the unpacked sequences, or, for a
+short one-byte pair stream, a Python comprehension over the two sequences'
+packed bytes), and keys the w-phrase multiplicities by slices of w's packed
+bytes. The conditional rate is summed by one function,
+_rate_of_multiplicities, straight off the pair walk's w-phrase counts:
+conditional_lz_complexity builds no JointPhraseParse.
 
 Counting conventions differ deliberately between the two parses. The plain
 parse counts a trailing incomplete phrase toward c. The joint parse counts
@@ -36,7 +37,7 @@ from .errors import ValidationError
 from .sequences import SymbolSequence, pack_symbols, symbol_width, unpack_symbols
 
 
-# pair streams up to this many symbols are built without NumPy (see _conditional_rate)
+# pair streams up to this many symbols are built without NumPy (see conditional_lz_complexity)
 SHORT_PAIR_SYMBOLS = 64
 
 
@@ -176,11 +177,14 @@ def _rate_of_multiplicities(multiplicities, n: int) -> float:
     return total / n
 
 
-def _check_pair(u: SymbolSequence, w: SymbolSequence) -> None:
-    if len(u) == 0:
+def _check_pair(u: SymbolSequence, w: SymbolSequence) -> int:
+    """The common length n >= 1 of u and w."""
+    n, n_w = len(u), len(w)
+    if n == 0:
         raise ValidationError("cannot parse an empty sequence")
-    if len(u) != len(w):
-        raise ValidationError(f"length mismatch: |u| = {len(u)}, |w| = {len(w)}")
+    if n != n_w:
+        raise ValidationError(f"length mismatch: |u| = {n}, |w| = {n_w}")
+    return n
 
 
 def _values(u: SymbolSequence) -> np.ndarray:
@@ -222,26 +226,26 @@ def _conditional_rates(u_rows: np.ndarray, w: np.ndarray, omega: int) -> list:
 
 
 def _conditional_rate(u, w, omega: int) -> float:
-    """conditional_lz_complexity of equal-length nonempty symbol arrays or tuples, w over omega symbols.
-
-    At most SHORT_PAIR_SYMBOLS pairs that fit one byte, (max(u) + 1) * omega
-    <= 256, are built in Python: for so few symbols, NumPy's fixed cost per
-    call would be most of the work. The pair bytes are the same either way.
-    """
-    n = len(w)
-    if n <= SHORT_PAIR_SYMBOLS and (max(u) + 1) * omega <= 256:
-        pairs = bytes([a * omega + b for a, b in zip(u, w)])
-        return _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs, 1)[0], bytes([*w]), 1).values(), n)
+    """conditional_lz_complexity of equal-length nonempty symbol arrays (or tuples), w over omega symbols."""
     return _conditional_rates(np.asarray(u)[np.newaxis], np.asarray(w), omega)[0]
 
 
 def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
-    """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol."""
-    _check_pair(u, w)
-    # short sequences pass their tuples, long ones arrays read off their packed bytes
-    if len(u) <= SHORT_PAIR_SYMBOLS:
-        return _conditional_rate(u.data, w.data, w.alphabet.size)
-    return _conditional_rate(_values(u), _values(w), w.alphabet.size)
+    """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol.
+
+    At most SHORT_PAIR_SYMBOLS pairs that fit one byte, (max(u) + 1) * |W|
+    <= 256, are zipped in Python straight from the two packed bytes objects:
+    for so few symbols, NumPy's fixed cost per call would be most of the
+    work. The pair bytes are the same either way.
+    """
+    n = _check_pair(u, w)
+    omega = w.alphabet.size
+    u_packed, w_packed = u.packed(), w.packed()
+    # n packed bytes: one byte a symbol
+    if n <= SHORT_PAIR_SYMBOLS and len(u_packed) == len(w_packed) == n and (max(u_packed) + 1) * omega <= 256:
+        pairs = bytes([a * omega + b for a, b in zip(u_packed, w_packed)])
+        return _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs, 1)[0], w_packed, 1).values(), n)
+    return _conditional_rates(_values(u)[np.newaxis], _values(w), omega)[0]
 
 
 def _block_length(block) -> int:

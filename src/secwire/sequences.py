@@ -14,13 +14,19 @@ symbols. A body of ASCII digits and whitespace whose tokens are all single
 digits (the layout dump_sequence writes) is decoded straight from its bytes.
 Other ASCII-digit bodies with tokens shorter than 19 digits go through
 np.fromstring. Every other body goes through int() token by token.
+
+A SymbolSequence stores one form of its symbols: the packed big-endian words
+of pack_symbols (one byte a symbol up to 256 symbols). The loader's uint8
+array packs with one copy; the tuple of Python ints is built only when a
+caller reads data.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +55,6 @@ def _bulk_bytes(body: str) -> tuple | None:
     if not single and b"0" * 19 in zeros:
         return None
     return raw, single
-
-
-def _bulk_readable(body: str) -> bool:
-    return _bulk_bytes(body) is not None
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -118,53 +120,49 @@ def _non_integer(items):
             return item
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymbolSequence:
-    """Immutable sequence of symbols over a fixed alphabet.
+    """Immutable sequence of symbols over a fixed alphabet, stored as its packed bytes.
 
     data may be any iterable of integers (whatever operator.index accepts, so
-    not floats); a 1-D integer ndarray is checked with min/max in bulk.
-    It is stored as a tuple of Python ints. The parser reads the symbols
-    packed (pack_symbols over the alphabet), which packed() builds once and
-    keeps; a uint8 array over at most 256 symbols is packed at construction.
-    Slices and prefixes are not checked again, and a contiguous one cuts the
-    packed bytes when they are built.
+    not floats); a 1-D integer ndarray is checked with min/max in bulk. The
+    one stored form is pack_symbols(data, alphabet size), which the parser
+    reads and which equality and hashing compare; the tuple of Python ints
+    (data) is built on first read and kept. Slices and prefixes cut the
+    packed bytes and are not checked again.
     """
 
     alphabet: Alphabet
-    data: tuple = field(default=())
-    _packed: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _packed: bytes
 
-    def __post_init__(self):
-        raw = self.data
-        if isinstance(raw, np.ndarray) and raw.ndim != 1:
-            raise ValidationError(f"symbols must form a 1-D array, got {raw.ndim}-D")
-        if isinstance(raw, np.ndarray) and raw.dtype.kind in "iu":
-            lo, hi = (int(raw.min()), int(raw.max())) if raw.size else (0, 0)
-            if raw.dtype == np.uint8:
-                # tuple() of bytes yields Python ints, at less than half the cost of tolist()
-                raw_bytes = raw.tobytes()
-                data = tuple(raw_bytes)
-                if symbol_width(self.alphabet.size) == 1:
-                    object.__setattr__(self, "_packed", raw_bytes)
-            else:
-                data = tuple(raw.tolist())
+    def __init__(self, alphabet: Alphabet, data=()):
+        if isinstance(data, np.ndarray) and data.ndim != 1:
+            raise ValidationError(f"symbols must form a 1-D array, got {data.ndim}-D")
+        if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
+            lo, hi = (int(data.min()), int(data.max())) if data.size else (0, 0)
         else:
-            items = tuple(raw)
+            items = tuple(data)
             try:
                 data = tuple(map(operator.index, items))
             except TypeError:
                 raise ValidationError(f"symbol {_non_integer(items)!r} is not an integer") from None
             lo, hi = (min(data), max(data)) if data else (0, 0)
-        object.__setattr__(self, "data", data)
-        if lo < 0 or hi >= self.alphabet.size:
-            bad = next(s for s in data if s not in self.alphabet)
-            raise ValidationError(
-                f"symbol {bad} outside alphabet of size {self.alphabet.size}"
-            )
+        if lo < 0 or hi >= alphabet.size:
+            bad = next(s for s in map(int, data) if s not in alphabet)
+            raise ValidationError(f"symbol {bad} outside alphabet of size {alphabet.size}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_packed", pack_symbols(data, alphabet.size))
+
+    @functools.cached_property
+    def data(self) -> tuple:
+        """The symbols as a tuple of Python ints, built on first read and kept."""
+        if symbol_width(self.alphabet.size) == 1:
+            # tuple() of bytes yields Python ints, at a fraction of NumPy's fixed cost per call
+            return tuple(self._packed)
+        return tuple(unpack_symbols(self._packed, self.alphabet.size).tolist())
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self._packed) // symbol_width(self.alphabet.size)
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
@@ -179,35 +177,26 @@ class SymbolSequence:
             n = operator.index(n)
         except TypeError:
             raise ValidationError(f"prefix length {n!r} is not an integer") from None
-        if not 0 <= n <= len(self.data):
-            raise ValidationError(f"prefix length {n} outside [0, {len(self.data)}]")
-        if n == len(self.data):
+        if not 0 <= n <= len(self):
+            raise ValidationError(f"prefix length {n} outside [0, {len(self)}]")
+        if n == len(self):
             return self
         return self._cut(slice(n))
 
     def _cut(self, sl: slice) -> "SymbolSequence":
-        """self[sl] without a second check: a slice of valid symbols is valid.
-
-        A contiguous slice also cuts the packed bytes, when they are built.
-        """
+        """self[sl], cut from the packed bytes without a second check: a slice of valid symbols is valid."""
+        words = np.frombuffer(self._packed, dtype=f"V{symbol_width(self.alphabet.size)}")
         cut = object.__new__(SymbolSequence)
         object.__setattr__(cut, "alphabet", self.alphabet)
-        object.__setattr__(cut, "data", self.data[sl])
-        start, stop, step = sl.indices(len(self.data))
-        packed = None
-        if self._packed is not None and step == 1:
-            width = symbol_width(self.alphabet.size)
-            packed = self._packed[start * width : max(start, stop) * width]
-        object.__setattr__(cut, "_packed", packed)
+        object.__setattr__(cut, "_packed", words[sl].tobytes())
         return cut
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.data, dtype=np.int64)
+        """The symbols as an int64 array; a symbol of 2^63 or more wraps from 8 bytes and overflows from 16."""
+        return unpack_symbols(self._packed, self.alphabet.size).astype(np.int64)
 
     def packed(self) -> bytes:
-        """The symbols as pack_symbols(data, alphabet size), built on first use and kept."""
-        if self._packed is None:
-            object.__setattr__(self, "_packed", pack_symbols(self.data, self.alphabet.size))
+        """The symbols as pack_symbols(data, alphabet size)."""
         return self._packed
 
 

@@ -12,8 +12,8 @@ repeated codeword enters once, as a count. Each depth is one batched matrix
 product over a zero-padded child array. Bins are contracted in groups whose
 arrays hold at most LEAKAGE_BLOCK_ENTRIES entries (a group is never smaller
 than one bin), and each group's laws are written straight into the per-bin
-array (2^secret_bits x |Z|^N). The budget is checked against the
-whole-codebook count before anything is allocated.
+array (2^secret_bits x |Z|^N). The budget counts those per-bin laws plus
+one group's tables, and is checked before anything is allocated.
 
 ML decoding has one scorer, _ml_decisions, for a stack of received words:
 each word's (input, output) pair counts for every codeword come from 0/1
@@ -191,13 +191,13 @@ def _pair_counts(x_onehot: list, ys: np.ndarray, out_size: int) -> np.ndarray:
 def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
     """Exact I(secret; Z^N) in bits, uniform secret and inner randomness.
 
-    Raises BudgetError, before allocating anything, when the whole codebook's
-    output laws would exceed ENUMERATION_BUDGET entries. Within the budget,
-    each bin's law is contracted over its codewords' prefix tree (see
-    _contract_bins), then divided by words_per_bin. The sums run in tree
-    order, not codeword order, so the result can differ from the direct
-    per-codeword formula in the last bits. Peak memory is the (bins, |Z|^N)
-    per-bin laws plus one group's tables.
+    Raises BudgetError, before allocating anything, when the (bins, |Z|^N)
+    per-bin laws plus one group's tables would exceed ENUMERATION_BUDGET
+    entries; that is the peak memory. Within the budget, each bin's law is
+    contracted over its codewords' prefix tree (see _contract_bins), then
+    divided by words_per_bin. The sums run in tree order, not codeword
+    order, so the result can differ from the direct per-codeword formula in
+    the last bits.
     """
     if eaves_channel.in_alphabet.size != code.in_size:
         raise ValidationError(
@@ -205,18 +205,26 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
             f"{code.in_size}"
         )
     rows = eaves_channel.rows
-    z_size = rows.shape[1]
-    total = code.bins * code.words_per_bin * z_size ** code.block_len
+    (x_size, z_size), n = rows.shape, code.block_len
+    # a group's largest depth: old tables, pad and new tables. A bin has at most
+    # min(|X|^(d-1), words_per_bin) nodes of depth d - 1, and |X| >= 2
+    per_bin_entries = max(
+        min(x_size ** min(d - 1, code.random_bits), code.words_per_bin)
+        * z_size ** (n - d) * 2 * max(x_size, z_size)
+        for d in range(1, n + 1)
+    )
+    group = max(1, LEAKAGE_BLOCK_ENTRIES // per_bin_entries)
+    total = code.bins * z_size ** n + group * per_bin_entries
     if total > ENUMERATION_BUDGET:
         raise BudgetError(f"output-law enumeration needs {total} entries, budget {ENUMERATION_BUDGET}")
-    per_bin = _contract_bins(code, rows)
+    per_bin = _contract_bins(code, rows, group)
     per_bin /= code.words_per_bin
     marginal = per_bin.mean(axis=0)
     h_cond = sum(_entropy_raw(row) for row in per_bin) / code.bins
     return max(_entropy_raw(marginal) - h_cond, 0.0)
 
 
-def _contract_bins(code: WynerCode, rows: np.ndarray) -> np.ndarray:
+def _contract_bins(code: WynerCode, rows: np.ndarray, group: int) -> np.ndarray:
     """Each bin's summed output law sum_w P(z^N | codeword w), as a (bins, |Z|^N) array.
 
     The sorted unique (bin, x_1 .. x_N) keys are the leaves of a prefix tree,
@@ -225,9 +233,8 @@ def _contract_bins(code: WynerCode, rows: np.ndarray) -> np.ndarray:
     each parent's table is rows.T @ pad, where pad[x] is the table of its
     child x (zero when there is none). Only each key's first differing
     column from the key before it is needed: a node starts a new parent when
-    that column is below d. Bins go in groups whose largest depth (old
-    tables, pad and new tables) fits LEAKAGE_BLOCK_ENTRIES; a bin's result
-    does not depend on its group.
+    that column is below d. Bins go in groups of group bins (code_leakage
+    sizes them); a bin's result does not depend on its group.
     """
     n = code.block_len
     x_size, z_size = rows.shape
@@ -241,13 +248,6 @@ def _contract_bins(code: WynerCode, rows: np.ndarray) -> np.ndarray:
     counts = np.diff(distinct, append=len(keys))
     first_diff = np.concatenate(([0], np.argmax(differs, axis=1)))[distinct]
     keys = keys[distinct]
-    # a bin has at most min(|X|^(d-1), words_per_bin) nodes of depth d - 1, and |X| >= 2
-    per_bin_entries = max(
-        min(x_size ** min(d - 1, code.random_bits), code.words_per_bin)
-        * z_size ** (n - d) * 2 * max(x_size, z_size)
-        for d in range(1, n + 1)
-    )
-    group = max(1, LEAKAGE_BLOCK_ENTRIES // per_bin_entries)
     bin_starts = np.searchsorted(keys[:, 0], np.arange(0, code.bins + group, group).clip(max=code.bins))
     per_bin = None
     for b0, lo, hi in zip(range(0, code.bins, group), bin_starts[:-1], bin_starts[1:]):

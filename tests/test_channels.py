@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from secwire.errors import ValidationError
+from secwire.errors import BudgetError, ValidationError
 from secwire.channels import (
     ChannelTriple,
     TransitionMatrix,
@@ -135,6 +137,55 @@ def test_load_dump_round_trip(tmp_path):
         dump_channel(ch, path)
         back = load_channel(path)
         assert np.array_equal(back.rows, ch.rows)
+
+
+@st.composite
+def _stochastic_rows(draw):
+    n_in, n_out = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    weights = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n_out, max_size=n_out), min_size=n_in, max_size=n_in))
+    # an offset of 0 keeps zero entries; an all-zero row becomes a point mass
+    rows = np.array(weights) + draw(st.sampled_from([0.0, 1e-300, 1.0]))
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stochastic_rows())
+def test_load_dump_round_trip_property(tmp_path_factory, rows):
+    ch = channel_from_rows(rows)
+    path = tmp_path_factory.getbasetemp() / "round-trip.ch"
+    dump_channel(ch, path)
+    assert np.array_equal(load_channel(path).rows, ch.rows)
+
+
+# Lines of channel files: whole rows, so that some files load, or tokens:
+# the header word, integers, floats and non-finite values, and comments. A
+# header of small sizes comes first in one of three draws; raw bytes cover
+# bytes that are not UTF-8.
+_channel_token = st.sampled_from(
+    [b"channel", b"0", b"1", b"2", b"-1", b"0.5", b"0.75", b"1e999", b"nan", b"-inf", b"-0.0", b"1e-320",
+     b"99999999999999999999", b"0x1", b"1_0", b".", b"#", "\u0663".encode(), "\xa0".encode()]
+)
+_channel_line = st.one_of(
+    st.sampled_from([b"0.5 0.5", b"1 0", b"0.25\t0.75", b"1.0", b"0.5 0.25 0.25", b"channel 1 1", b"channel 2 3"]),
+    st.tuples(st.lists(_channel_token, min_size=1, max_size=4), st.sampled_from([b" ", b"\t", b"\x1c"])).map(
+        lambda t: t[1].join(t[0])
+    ),
+)
+_channel_lines = st.lists(_channel_line, max_size=5).map(b"\r\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.binary(max_size=60), _channel_lines, _channel_lines.map(lambda b: b"channel 2 2\n" + b)))
+def test_load_channel_fuzz(tmp_path_factory, data):
+    # a loaded file is a valid channel; every other file raises one of the two errors
+    path = tmp_path_factory.getbasetemp() / "fuzz.ch"
+    path.write_bytes(data)
+    try:
+        ch = load_channel(path)
+    except (ValidationError, BudgetError):
+        return
+    assert validate(ch) is None
 
 
 def test_load_rejects_bad_files(tmp_path):

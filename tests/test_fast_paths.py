@@ -391,17 +391,24 @@ def test_code_leakage_equals_frozen_contraction(monkeypatch, block_entries, n, s
 
 
 def test_code_leakage_checks_budget_before_allocating():
-    # one bin's laws (8 x 2^20 floats, 64 MiB) would fit in memory; the
-    # whole codebook's 2^25 entries exceed the budget, so nothing is built
-    code = wb.build_code(20, 2, 3, [0.5, 0.5], seed=1)
+    # the per-bin laws (4 x 2^22 entries) plus one bin's deepest tables
+    # (2^23 entries) exceed the budget, so nothing is built
+    code = wb.build_code(22, 2, 3, [0.5, 0.5], seed=1)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match="needs 25165824 entries"):
             wb.code_leakage(code, bsc(0.1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_code_leakage_budget_counts_what_the_contraction_holds():
+    # 4 x 2^20 per-bin laws plus 2^21 table entries fit the budget, though
+    # the whole codebook's 32 x 2^20 output laws would not
+    code = wb.build_code(20, 2, 3, [0.5, 0.5], seed=1)
+    assert 0.0 <= wb.code_leakage(code, bsc(0.1)) <= 2.0
 
 
 def _mi_uncached(p, rows):

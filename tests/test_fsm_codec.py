@@ -624,3 +624,42 @@ def test_fsm_dump_load_round_trip_property(seed, encoder, k, m, in_size, out_siz
         assert back.emit == spec.emit
     else:
         assert np.array_equal(back.out_table, spec.out_table)
+
+
+# Lines of FSM files: whole rule lines and rule sets, so that some files
+# load, or tokens of both kinds, every directive, small and huge integers,
+# blocks with wildcards, probabilities and comments. A header of small scalars
+# comes first in two of three draws; raw bytes cover bytes that are not UTF-8.
+_fsm_token = st.sampled_from(
+    [b"encoder", b"decoder", b"k", b"m", b"alpha", b"beta", b"gamma", b"states", b"init", b"side", b"emit",
+     b"next", b"out", b"zap", b"0", b"1", b"2", b"-1", b"01", b"*", b"0*", b"0.5", b"nan", b"1e999", b"x",
+     b"10000000000", b"#", "\u0663".encode()]
+)
+_fsm_line = st.one_of(
+    st.sampled_from(
+        [b"emit 0 0 0\nemit 0 1 1\nnext * * 0", b"out * * * 1\nnext * * * 0", b"emit 0 0 0", b"emit 1 1 1 1.0",
+         b"emit 0 1 1", b"emit 1 0 0 1", b"emit 0 0 0 1 0", b"emit 1 1 1 1", b"next * * 0", b"next * * * 0",
+         b"next 1 * 1 0", b"out * * * 1", b"out * 0 * 1", b"init 1", b"states 2", b"side 1", b"m 2"]
+    ),
+    st.tuples(st.lists(_fsm_token, min_size=1, max_size=5), st.sampled_from([b" ", b"\t", b"\x1c"])).map(
+        lambda t: t[1].join(t[0])
+    ),
+)
+_fsm_lines = st.lists(_fsm_line, max_size=8).map(b"\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=st.sampled_from([b"", b"encoder\nk 1\nm 1\nalpha 2\nbeta 2\nstates 1\ninit 0\n",
+                            b"decoder\nk 1\nm 1\ngamma 2\nalpha 2\nstates 1\ninit 0\nside 2\n"]),
+    body=st.one_of(st.binary(max_size=60), _fsm_lines),
+)
+def test_load_fsm_fuzz(tmp_path_factory, header, body):
+    # any file loads or raises one of the two errors, nothing else
+    path = tmp_path_factory.getbasetemp() / "fuzz.fsm"
+    path.write_bytes(header + body)
+    try:
+        spec = load_fsm(path)
+    except (ValidationError, BudgetError):
+        return
+    assert spec.n_states >= 1

@@ -10,7 +10,6 @@ from secwire.sequences import (
     Alphabet,
     SymbolSequence,
     _bulk_bytes,
-    _bulk_readable,
     dump_sequence,
     load_sequence,
     pack_symbols,
@@ -199,33 +198,71 @@ def test_packed_symbols_round_trip(size):
 def test_packed_bytes_are_a_cache_outside_equality():
     from_array = SymbolSequence(Alphabet(4), np.array([3, 0, 2], dtype=np.uint8))
     from_tuple = SymbolSequence(Alphabet(4), (3, 0, 2))
-    assert from_array._packed == b"\x03\x00\x02" and from_tuple._packed is None
+    assert from_array._packed == b"\x03\x00\x02"
     assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
     assert repr(from_array) == repr(from_tuple)
     assert from_tuple.packed() == from_array.packed()
     assert from_tuple.packed() is from_tuple.packed()
-    # a uint8 array over more than 256 symbols packs two bytes a symbol, on first use
+    # a uint8 array over more than 256 symbols packs two bytes a symbol
     wide = SymbolSequence(Alphabet(300), np.array([1, 255], dtype=np.uint8))
-    assert wide._packed is None and wide.packed() == b"\x00\x01\x00\xff"
+    assert wide.packed() == b"\x00\x01\x00\xff"
 
 
 @pytest.mark.parametrize("size", [1, 2, 256, 257, 2 ** 16 + 1, 2 ** 40])
-@pytest.mark.parametrize("built", [True, False])
-def test_prefix_and_slices_cut_the_packed_bytes(size, built):
+@pytest.mark.parametrize("data_read", [True, False])
+def test_prefix_and_slices_cut_the_packed_bytes(size, data_read):
+    # cuts read only the packed bytes, whether or not u's tuple was built first
     rng = np.random.default_rng(size)
     data = (0, size - 1) + tuple(int(v) % size for v in rng.integers(0, 2 ** 62, 40))
     u = SymbolSequence(Alphabet(size), data)
-    if built:
-        u.packed()
+    if data_read:
+        assert u.data == data
     for n in (0, 1, 17, len(data) - 1):
         p = u.prefix(n)
         assert p == SymbolSequence(Alphabet(size), data[:n]) and hash(p) == hash(SymbolSequence(Alphabet(size), data[:n]))
-        assert (p._packed is not None) == built
         assert p.packed() == pack_symbols(p.data, size)
     for sl in (slice(3, 30), slice(-7, None), slice(30, 3), slice(None, None, 3), slice(25, 2, -2)):
         cut = u[sl]
         assert cut.alphabet == u.alphabet and cut.data == data[sl]
         assert cut.packed() == pack_symbols(data[sl], size)
+
+
+# alphabet sizes at both ends of each packed width: 1, 2, 4, 8 and 16 bytes
+_width_sizes = st.sampled_from([2, 256, 257, 2 ** 16, 2 ** 16 + 1, 2 ** 32, 2 ** 32 + 1, 2 ** 64, 2 ** 64 + 1, 3 ** 50])
+
+
+@st.composite
+def _sized_symbols(draw):
+    size = draw(_width_sizes)
+    # symbols that fit a uint8 array, an int64 array, or only an object array
+    top = draw(st.sampled_from([min(size, 256), min(size, 2 ** 63), size]))
+    return size, tuple(draw(st.lists(st.integers(0, top - 1), max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sized_symbols(), sl=st.slices(40), n=st.integers(0, 40))
+def test_every_input_form_is_one_sequence(case, sl, n):
+    # the tuple is the model: every input form packs to the same sequence,
+    # and data, array(), packed(), slices and prefixes agree with the model
+    size, model = case
+    forms = [model, list(model), np.array(model, dtype=object)]
+    if all(s < 2 ** 63 for s in model):
+        forms.append(np.array(model, dtype=np.int64))
+    if all(s < 256 for s in model):
+        forms.append(np.array(model, dtype=np.uint8))
+    want = SymbolSequence(Alphabet(size), model)
+    for form in forms:
+        u = SymbolSequence(Alphabet(size), form)
+        assert u == want and hash(u) == hash(want) and repr(u) == repr(want)
+        assert len(u) == len(model) and u.data == model and all(type(s) is int for s in u.data)
+        assert u.packed() == pack_symbols(model, size)
+        if all(s < 2 ** 63 for s in model):
+            assert u.array().dtype == np.int64 and u.array().tolist() == list(model)
+        cut = u[sl]
+        assert cut.data == model[sl] and cut == SymbolSequence(Alphabet(size), model[sl])
+        assert cut.packed() == pack_symbols(model[sl], size)
+        if n <= len(model):
+            assert u.prefix(n).data == model[:n] and u.prefix(n) == SymbolSequence(Alphabet(size), model[:n])
 
 
 def test_pack_symbols_packs_a_tuple_as_its_bytes():
@@ -294,7 +331,7 @@ _body_pieces = st.one_of(
 @given(st.lists(_body_pieces, max_size=8).map("".join))
 def test_bulk_check_is_the_two_regex_test(body):
     regex_test = bool(re.fullmatch(r"[0-9\s]*", body, re.ASCII)) and not re.search(r"[0-9]{19}", body)
-    assert _bulk_readable(body) == regex_test
+    assert (_bulk_bytes(body) is not None) == regex_test
 
 
 # Pieces of sequence-file bodies: digits and the six ASCII separators, the
