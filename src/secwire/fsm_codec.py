@@ -35,10 +35,13 @@ alphabet), then rule lines keyed by (state, input block, side block)::
 
 Blocks are comma-joined symbols (``0,1``). ``next`` and ``out`` lines accept
 ``*`` wildcards for the state or for block positions; the first matching line
-wins and every concrete combination must be covered. ``emit`` lines belong to
-encoders only and are explicit; omitted PROB means 1. Multiple emit lines per
-(state, input) build up the distribution. A line of the other kind (``emit``
-or ``beta`` in a decoder, ``out`` or ``gamma`` in an encoder) is an error.
+wins and every concrete combination must be covered. The loader applies that
+rule as array writes from the last line to the first, a wildcard writing a
+whole axis, so each cell keeps the first line that matches it. ``emit`` lines
+belong to encoders only and are explicit; omitted PROB means 1. Multiple emit
+lines per (state, input) build up the distribution. A line of the other kind
+(``emit`` or ``beta`` in a decoder, ``out`` or ``gamma`` in an encoder) is an
+error.
 """
 
 from __future__ import annotations
@@ -464,11 +467,6 @@ def induced_security_channel(enc: StochasticEncoderSpec, triple: ChannelTriple, 
     if enc.side_size != 1:
         raise ValidationError("side-information encoders need conditional_leakage instead")
     u_total, _, z_total = _enumeration_shape(enc, triple, n)
-    # the same product _enumerate_g3 checks (w_total is 1), kept for this message
-    if u_total * z_total > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"induced channel needs {u_total} x {z_total} entries, budget {ENUMERATION_BUDGET}"
-        )
     rows = _enumerate_g3(enc, triple, n).reshape(u_total, z_total)
     return TransitionMatrix(Alphabet(u_total), Alphabet(z_total), rows)
 
@@ -673,34 +671,30 @@ def _parse_block(token: str, length: int, base: int, wild_error: str | None = No
     return tuple(out)
 
 
-def _match_block(pattern, block) -> bool:
-    return all(p == "*" or p == b for p, b in zip(pattern, block))
-
-
-def _first_match(rules, state, block, w_block):
-    for r_state, r_block, r_wblock, payload in rules:
-        if r_state != "*" and r_state != state:
-            continue
-        if not _match_block(r_block, block):
-            continue
-        if not _match_block(r_wblock, w_block):
-            continue
-        return payload
-    return None
-
-
 def load_fsm(path: str | os.PathLike):
-    """Parse an FSM spec file into an encoder or decoder spec."""
+    """Parse an FSM spec file into an encoder or decoder spec; every error names the path once."""
+    text = read_text(path)
+    try:
+        return _build_spec(*_split_fsm(text))
+    except BudgetError as exc:
+        raise BudgetError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        # ValidationError subclasses ValueError; bare ones come from int()/float()
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _split_fsm(text: str) -> tuple:
+    """(kind, scalars, emit lines, rule lines) of an FSM file's text."""
     lines = []
-    for ln in read_text(path).splitlines():
+    for ln in text.splitlines():
         ln = ln.split("#", 1)[0].strip()
         if ln:
             lines.append(ln)
     if not lines:
-        raise ValidationError(f"{path}: empty FSM file")
+        raise ValidationError("empty FSM file")
     kind = lines[0]
     if kind not in _FSM_KINDS:
-        raise ValidationError(f"{path}: first line must be 'encoder' or 'decoder', got {kind!r}")
+        raise ValidationError(f"first line must be 'encoder' or 'decoder', got {kind!r}")
     other_kind_lines = _FSM_KINDS[kind][1]
     scalars = {}
     emit_lines, rule_lines = [], []
@@ -708,27 +702,21 @@ def load_fsm(path: str | os.PathLike):
         toks = ln.split()
         if toks[0] in other_kind_lines:
             article = "an" if kind == "encoder" else "a"
-            raise ValidationError(f"{path}: unexpected '{toks[0]}' line in {article} {kind} file")
+            raise ValidationError(f"unexpected '{toks[0]}' line in {article} {kind} file")
         if toks[0] in ("k", "m", "alpha", "beta", "gamma", "states", "init", "side"):
             if len(toks) != 2:
-                raise ValidationError(f"{path}: malformed scalar line {ln!r}")
+                raise ValidationError(f"malformed scalar line {ln!r}")
             try:
                 scalars[toks[0]] = int(toks[1])
             except ValueError:
-                raise ValidationError(f"{path}: non-integer value in {ln!r}") from None
+                raise ValidationError(f"non-integer value in {ln!r}") from None
         elif toks[0] == "emit":
             emit_lines.append(toks[1:])
         elif toks[0] in ("next", "out"):
             rule_lines.append((toks[0], toks[1:]))
         else:
-            raise ValidationError(f"{path}: unknown directive {toks[0]!r}")
-    try:
-        return _build_spec(path, kind, scalars, emit_lines, rule_lines)
-    except ValueError as exc:
-        # ValidationError subclasses ValueError; bare ones come from int()/float()
-        if str(exc).startswith(str(path)):
-            raise
-        raise ValidationError(f"{path}: {exc}") from None
+            raise ValidationError(f"unknown directive {toks[0]!r}")
+    return kind, scalars, emit_lines, rule_lines
 
 
 def _parse_state_token(tok, n_states):
@@ -743,17 +731,18 @@ def _parse_state_token(tok, n_states):
 _EMIT_WILD = "wildcard not allowed in emit lines"
 
 
-def _build_spec(path, kind, scalars, emit_lines, rule_lines):
-    """One builder for both kinds: each rule fills its table cell by cell.
+def _build_spec(kind, scalars, emit_lines, rule_lines):
+    """One builder for both kinds: rule lines are written into their tables from the last to the first.
 
-    Every (state, input block, side block) cell takes the first matching
-    line of each rule, the decoder's out rule before its next rule.
+    A table has one axis for the state and one for each block position, so a
+    wildcard is a whole-axis slice, and the first matching line is the one
+    left in each (state, input block, side block) cell.
     """
     encoder = kind == "encoder"
     (in_name, out_name), _, spec_classes = _FSM_KINDS[kind]
     missing = [key for key in ("k", "m", in_name, out_name, "states", "init") if key not in scalars]
     if missing:
-        raise ValidationError(f"{path}: missing scalar lines {missing}")
+        raise ValidationError(f"missing scalar lines {missing}")
     k, m = scalars["k"], scalars["m"]
     a_in, a_out = scalars[in_name], scalars[out_name]
     n_states, init = scalars["states"], scalars["init"]
@@ -771,7 +760,7 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
             cells *= base
     if cells > ENUMERATION_BUDGET:
         raise BudgetError(
-            f"{path}: tables of {n_states} states x {a_in}^{in_len} input blocks x {side}^{k} side blocks "
+            f"tables of {n_states} states x {a_in}^{in_len} input blocks x {side}^{k} side blocks "
             f"exceed budget {ENUMERATION_BUDGET}"
         )
     emit: dict = {}
@@ -789,13 +778,16 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
         prob = float(toks[x_pos + 1]) if len(toks) == want else 1.0
         key = (s, block_to_index(u_blk, a_in), block_to_index(w_blk, max(side, 1)))
         emit.setdefault(key, []).append((block_to_index(x_blk, a_out), prob))
-    rules = {name: [] for name in (("next",) if encoder else ("out", "next"))}
+    # axes of one value hold index 0 only and are left out, so the budget keeps a table under 25 axes
+    dims = (n_states,) + (a_in,) * in_len + (side,) * k
+    axes = [i for i, size in enumerate(dims) if size > 1]
+    rules = []
     for name, toks in rule_lines:
         if len(toks) != 3 + has_side:
             raise ValidationError(f"malformed {name} line {' '.join(toks)!r}")
         s = _parse_state_token(toks[0], n_states)
         blk = _parse_block(toks[1], in_len, a_in)
-        w_blk = _parse_block(toks[2], k, side) if has_side else ("*",) * k
+        w_blk = _parse_block(toks[2], k, side) if has_side else ()
         if name == "out":
             out_wild = "wildcard not allowed in the output block of an out line"
             payload = block_to_index(_parse_block(toks[-1], k, a_out, out_wild), a_out)
@@ -803,17 +795,22 @@ def _build_spec(path, kind, scalars, emit_lines, rule_lines):
             payload = int(toks[-1])
             if not 0 <= payload < n_states:
                 raise ValidationError(f"next state {payload} outside [0, {n_states})")
-        rules[name].append((s, blk, w_blk, payload))
-    in_blocks, w_blocks = a_in ** in_len, side ** k
-    tables = {name: np.zeros((n_states, in_blocks, w_blocks), dtype=np.int64) for name in rules}
-    for s, bi, wi in itertools.product(range(n_states), range(in_blocks), range(w_blocks)):
+        key = (s,) + blk + w_blk
+        rules.append((name, tuple(slice(None) if key[i] == "*" else key[i] for i in axes), payload))
+    names = ("next",) if encoder else ("out", "next")
+    tables = {name: np.full([dims[i] for i in axes], -1, dtype=np.int64) for name in names}
+    for name, cell, payload in reversed(rules):
+        tables[name][cell] = payload
+    shape = (n_states, a_in ** in_len, side ** k)
+    # the first uncovered cell in C order, that is in (state, block, side block) order; out first at a tie
+    gaps = [(int((t < 0).argmax()), i, name) for i, (name, t) in enumerate(tables.items()) if t.min() < 0]
+    if gaps:
+        cell, _, name = min(gaps)
+        s, bi, wi = map(int, np.unravel_index(cell, shape))
         blk, w_blk = index_to_block(bi, a_in, in_len), index_to_block(wi, side, k)
-        for name, table in tables.items():
-            hit = _first_match(rules[name], s, blk, w_blk)
-            if hit is None:
-                what = "output" if name == "out" else "next state"
-                raise ValidationError(f"{what} undefined for (state={s}, {'u' if encoder else 'y'}={blk}, w={w_blk})")
-            table[s, bi, wi] = hit
+        what = "output" if name == "out" else "next state"
+        raise ValidationError(f"{what} undefined for (state={s}, {'u' if encoder else 'y'}={blk}, w={w_blk})")
+    tables = {name: t.reshape(shape) for name, t in tables.items()}
     first = {"emit": {k2: tuple(v) for k2, v in emit.items()}} if encoder else {"out_table": tables["out"]}
     return spec_classes[has_side](
         k=k,

@@ -9,11 +9,10 @@ and non-ASCII decimal digits are allowed, ``1.0`` is not. Every malformed
 file (not UTF-8, bad header, non-integer or out-of-range symbol) raises
 ValidationError naming the path, which the CLI reports with exit code 2.
 
-The body after the header is read by one of three paths, all giving the same
-symbols. A body of ASCII digits and whitespace whose tokens are all single
-digits (the layout dump_sequence writes) is decoded straight from its bytes.
-Other ASCII-digit bodies with tokens shorter than 19 digits go through
-np.fromstring. Every other body goes through int() token by token.
+The body after the header is read by one of two paths, both giving the same
+symbols. A body of ASCII whitespace and single-digit tokens (the layout
+dump_sequence writes for alphabets of up to 10 symbols) is decoded straight
+from its bytes. Every other body goes through int() token by token.
 
 A SymbolSequence stores one form of its symbols: the packed big-endian words
 of pack_symbols (one byte a symbol up to 256 symbols). The loader's uint8
@@ -33,28 +32,22 @@ import numpy as np
 from .errors import ValidationError
 
 # Every digit mapped to "0". A body whose mapped bytes hold only "0" and ASCII
-# whitespace, with no run of 19 zeros, holds only tokens that int() and
-# np.fromstring read alike and that fit in int64. This is the test of the flat
-# regexes [0-9\s]* (re.ASCII) and [0-9]{19}, at a fifth of their cost: the
-# search for a 19-digit run alone takes longer than np.fromstring. With no run
-# of two zeros every token is a single digit, and the 19-digit search is skipped.
+# whitespace, with no run of two zeros, holds only single-digit tokens: the test
+# of the regexes [0-9\s]* (re.ASCII) and [0-9]{2}, at a fraction of their cost.
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
 _SPACE = b" \t\n\r\x0b\x0c"
 _ZERO_AND_SPACE = b"0" + _SPACE
 
 
-def _bulk_bytes(body: str) -> tuple | None:
-    """(ASCII bytes, every token is one digit) for a body that passes the bulk test, else None."""
+def _single_digit_bytes(body: str) -> bytes | None:
+    """The ASCII bytes of a body of ASCII whitespace and single-digit tokens, else None."""
     if not body.isascii():
         return None
     raw = body.encode("ascii")
     zeros = raw.translate(_DIGITS_TO_ZERO)
-    if zeros.translate(None, _ZERO_AND_SPACE):
+    if zeros.translate(None, _ZERO_AND_SPACE) or b"00" in zeros:
         return None
-    single = b"00" not in zeros
-    if not single and b"0" * 19 in zeros:
-        return None
-    return raw, single
+    return raw
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -128,8 +121,9 @@ class SymbolSequence:
     not floats); a 1-D integer ndarray is checked with min/max in bulk. The
     one stored form is pack_symbols(data, alphabet size), which the parser
     reads and which equality and hashing compare; the tuple of Python ints
-    (data) is built on first read and kept. Slices and prefixes cut the
-    packed bytes and are not checked again.
+    (data) is built on first read and kept. The length is stored beside
+    them, outside equality and hashing. Slices and prefixes cut the packed
+    bytes and are not checked again.
     """
 
     alphabet: Alphabet
@@ -152,6 +146,7 @@ class SymbolSequence:
             raise ValidationError(f"symbol {bad} outside alphabet of size {alphabet.size}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_packed", pack_symbols(data, alphabet.size))
+        object.__setattr__(self, "_len", len(data))
 
     @functools.cached_property
     def data(self) -> tuple:
@@ -162,7 +157,7 @@ class SymbolSequence:
         return tuple(unpack_symbols(self._packed, self.alphabet.size).tolist())
 
     def __len__(self) -> int:
-        return len(self._packed) // symbol_width(self.alphabet.size)
+        return self._len
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
@@ -185,10 +180,11 @@ class SymbolSequence:
 
     def _cut(self, sl: slice) -> "SymbolSequence":
         """self[sl], cut from the packed bytes without a second check: a slice of valid symbols is valid."""
-        words = np.frombuffer(self._packed, dtype=f"V{symbol_width(self.alphabet.size)}")
+        words = np.frombuffer(self._packed, dtype=f"V{symbol_width(self.alphabet.size)}")[sl]
         cut = object.__new__(SymbolSequence)
         object.__setattr__(cut, "alphabet", self.alphabet)
-        object.__setattr__(cut, "_packed", words[sl].tobytes())
+        object.__setattr__(cut, "_packed", words.tobytes())
+        object.__setattr__(cut, "_len", len(words))
         return cut
 
     def array(self) -> np.ndarray:
@@ -219,14 +215,11 @@ def load_sequence(path: str | os.PathLike) -> SymbolSequence:
     except ValueError:
         raise ValidationError(f"{path}: alphabet size {parts[1]!r} is not an integer") from None
     body = parts[2] if len(parts) == 3 else ""
-    bulk = _bulk_bytes(body)
-    if bulk is not None and bulk[1]:
+    raw = _single_digit_bytes(body)
+    if raw is not None:
         # every token is one digit: the bytes left once whitespace is deleted are the symbols
         # (the same selection as a mask of bytes >= "0", without its cost)
-        symbols = np.frombuffer(bulk[0].translate(None, _SPACE), dtype=np.uint8) - 0x30
-    elif bulk is not None:
-        # split() left the body starting with a digit, so fromstring never sees a blank string
-        symbols = np.fromstring(body, dtype=np.int64, sep=" ")
+        symbols = np.frombuffer(raw.translate(None, _SPACE), dtype=np.uint8) - 0x30
     else:
         symbols = []
         for tok in body.split():

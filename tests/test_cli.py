@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import secwire
 from secwire import (
@@ -499,3 +501,114 @@ def test_parse_stdout_bytes_are_golden(tmp_path, capsys, monkeypatch, case):
     argv = ["parse", "--seq", "u.seq", "--phrases"] + (["--side", "w.seq"] if case == "side" else [])
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_PARSE_STDOUT[case]
+
+
+# The CLI fuzz: argument lists for every subcommand, drawn from plausible
+# values and odd ones (NaN, infinities, 0, negatives, a value past 2^64, text)
+# and from small, empty, malformed, missing and wrong-kind input files.
+# Loop counts (simulate --trials, feedback --sessions) take no value past
+# 2^64: a run of that many trials is a valid request that never ends.
+_ODD_VALUES = ["0", "-1", "18446744073709551617", "nan", "inf", "-inf", "1.5", "1e-300", "", "x"]
+_FUZZ_FILES = {"seq": ["u.seq", "w.seq"], "ch": ["m.ch", "w.ch"], "fsm": ["enc.fsm", "dec.fsm", "huge.fsm"]}
+_ODD_FILES = ["empty.txt", "junk.txt", "missing.txt", "adir", "one.seq", "tri.ch", "m.ch", "u.seq", "enc.fsm"]
+
+
+def _mostly(plausible, odd=_ODD_VALUES):
+    # one draw in five is odd
+    return st.integers(0, 4).flatmap(lambda i: st.sampled_from(odd if i == 0 else plausible))
+
+
+_FUZZ_VALUES = {
+    "int": _mostly(["1", "2", "3", "6", "64"]),
+    "float": _mostly(["0.1", "0.5", "0.9", "2"]),
+    "count": _mostly(["1", "2", "3"], [v for v in _ODD_VALUES if v != "18446744073709551617"]),
+    "theorem": _mostly(["t1", "t2", "t3"], ["t4"]),
+    "pipeline": _mostly(["fixed", "vtf"], ["x"]),
+    "dist": _mostly(["0.5,0.5", "1,0"], ["nan,1", "0.5", "-1,2", "x", ""]),
+    "format": _mostly(["json", "csv"], ["xml"]),
+    "out": st.sampled_from(["out.txt", "adir", "missing/out.txt"]).map(lambda name: "@" + name),
+    **{kind: _mostly(names, _ODD_FILES).map(lambda name: "@" + name) for kind, names in _FUZZ_FILES.items()},
+}
+# subcommand: (option, kind of value, required); the empty option is the positional theorem
+_FUZZ_OPTIONS = {
+    "parse": [("--seq", "seq", True), ("--side", "seq", False), ("--phrases", "flag", False)],
+    "channel": [("--main", "ch", True), ("--wiretap", "ch", False), ("--emit-cascade", "flag", False)],
+    "capacity": [("--main", "ch", True), ("--wiretap", "ch", False), ("--gamma", "float", False), ("--tol", "float", False)],
+    "bound": [
+        ("", "theorem", True), ("--seq", "seq", True), ("--side", "seq", False), ("--k", "int", True),
+        ("--m", "int", True), ("--qe", "int", False), ("--qd", "int", False), ("--eps-r", "float", False),
+        ("--eps-s", "float", False), ("--eps-n", "float", False), ("--n", "int", False), ("--ell", "int", False),
+        ("--main", "ch", True), ("--wiretap", "ch", True),
+    ],
+    "simulate": [
+        ("--enc", "fsm", True), ("--dec", "fsm", True), ("--main", "ch", True), ("--wiretap", "ch", True),
+        ("--seq", "seq", True), ("--side", "seq", False), ("--trials", "count", True), ("--seed", "int", True),
+        ("--joint", "flag", False), ("--exact-leakage", "flag", False), ("--leak", "ch", False),
+        ("--tol", "float", False),
+    ],
+    "wyner": [
+        ("--N", "int", True), ("--secret-bits", "int", True), ("--random-bits", "int", True), ("--main", "ch", True),
+        ("--wiretap", "ch", True), ("--trials", "count", True), ("--seed", "int", True), ("--dist", "dist", False),
+        ("--audit", "flag", False), ("--k", "int", False), ("--qe", "int", False), ("--eps-s", "float", False),
+        ("--ell", "int", False), ("--pipeline", "pipeline", False), ("--seq", "seq", False),
+        ("--delta", "float", False),
+    ],
+    "feedback": [
+        ("--seq", "seq", True), ("--side", "seq", True), ("--r", "int", True), ("--delta", "float", True),
+        ("--sessions", "count", True), ("--seed", "int", True), ("--coded", "flag", False), ("--N", "int", False),
+        ("--secret-bits", "int", False), ("--random-bits", "int", False), ("--main", "ch", False),
+        ("--wiretap", "ch", False),
+    ],
+}
+
+
+@st.composite
+def _fuzz_argvs(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_OPTIONS)))
+    argv = [command]
+    # an optional argument in half the draws, a required one left out in one of 40
+    for option, kind, required in _FUZZ_OPTIONS[command] + [("--format", "format", False), ("--out", "out", False)]:
+        if draw(st.integers(0, 79)) >= (78 if required else 40):
+            continue
+        argv += [option] if option else []
+        argv += [] if kind == "flag" else [draw(_FUZZ_VALUES[kind])]
+    return argv
+
+
+def _fuzz_files(root):
+    if root.exists():
+        return
+    root.mkdir()
+    _write_seq(root / "u.seq", (0, 1, 1, 0, 1, 0))
+    _write_seq(root / "w.seq", (0, 1, 0, 0, 1, 0))
+    _write_seq(root / "one.seq", (2,), size=3)
+    _write_bsc(root / "m.ch", 0.05)
+    _write_bsc(root / "w.ch", 0.2)
+    dump_channel(secwire.channel_from_rows([[0.5, 0.25, 0.25], [0.1, 0.1, 0.8]]), root / "tri.ch")
+    _identity_fsm_files(root)
+    # loads as far as its tables, which exceed the enumeration budget
+    (root / "huge.fsm").write_text(_FSM_HEADER.format(kind="decoder", k=1, m=40, names=("gamma", "alpha"), a=2, b=2))
+    (root / "empty.txt").write_text("")
+    (root / "junk.txt").write_bytes(b"alphabet \xff 1 2\n")
+    (root / "adir").mkdir()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_fuzz_argvs())
+def test_cli_fuzz_exit_codes(tmp_path_factory, argv):
+    root = tmp_path_factory.getbasetemp() / "cli-fuzz"
+    _fuzz_files(root)
+    code, out, err = _run_in_process([str(root / a[1:]) if a.startswith("@") else a for a in argv])
+    assert code in (0, 2, 3, 64)
+    if code == 0:
+        assert err == ""
+        return
+    assert out == ""
+    lines = err.splitlines()
+    if code == 64:
+        # argparse's usage lines, then its one error line
+        assert lines[0].startswith("usage: secwire") and lines[-1].startswith("secwire")
+        assert [": error: " in line for line in lines].count(True) == 1
+    else:
+        assert len(lines) == 1 and err.endswith("\n")
+        assert lines[0].startswith("secwire: budget exceeded: " if code == 3 else "secwire: ")

@@ -900,7 +900,7 @@ def test_enumerator_checks_budget_before_allocating():
     try:
         with pytest.raises(BudgetError, match="joint enumeration needs"):
             fc._enumerate_g3(enc, triple, 9)  # 2^9 * 2^9 * 2^9 entries
-        with pytest.raises(BudgetError, match="induced channel needs"):
+        with pytest.raises(BudgetError, match="joint enumeration needs"):
             fc.induced_security_channel(_random_encoder(3, 1, 1, 2, 1), triple, 13)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

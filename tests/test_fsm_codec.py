@@ -429,6 +429,89 @@ def test_fsm_wildcards_first_match_wins(tmp_path):
     assert dec.next_state[0, 0, 0] == 1
 
 
+def _first_match_scan(encoder, n_states, in_len, a_in, k, side, rules):
+    """The rule tables of an FSM file, cell by cell: each cell takes the first matching line.
+
+    rules holds (name, state, block, side block, payload) with "*" wildcards,
+    and an empty side block without side information. Returns the tables, or
+    the message for the first uncovered cell, the out rule before the next rule.
+    """
+    names = ("next",) if encoder else ("out", "next")
+    tables = {name: np.zeros((n_states, a_in ** in_len, side ** k), dtype=np.int64) for name in names}
+    for s, bi, wi in itertools.product(*map(range, tables["next"].shape)):
+        blk, w_blk = index_to_block(bi, a_in, in_len), index_to_block(wi, side, k)
+        for name in names:
+            hits = [
+                payload for r_name, r_state, r_blk, r_wblk, payload in rules
+                if r_name == name and r_state in ("*", s)
+                and all(p in ("*", b) for p, b in zip(r_blk + r_wblk, blk + w_blk))
+            ]
+            if not hits:
+                what = "output" if name == "out" else "next state"
+                return f"{what} undefined for (state={s}, {'u' if encoder else 'y'}={blk}, w={w_blk})"
+            tables[name][s, bi, wi] = hits[0]
+    return tables
+
+
+@st.composite
+def _rule_files(draw):
+    # an FSM file whose emit lines are complete, and rule lines drawn with
+    # wildcards, shadowed lines, uncovered cells and side blocks
+    encoder = draw(st.booleans())
+    k, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    a_in, a_out, n_states, side = (draw(st.integers(1, 3)) for _ in range(4))
+    in_len = k if encoder else m
+    names = ("alpha", "beta") if encoder else ("gamma", "alpha")
+    lines = [
+        "encoder" if encoder else "decoder", f"k {k}", f"m {m}", f"{names[0]} {a_in}", f"{names[1]} {a_out}",
+        f"states {n_states}", f"init {draw(st.integers(0, n_states - 1))}",
+    ] + ([f"side {side}"] if side > 1 else [])
+
+    def tok(blk):
+        # a block of wildcards only is written as one "*" or position by position
+        return "*" if set(blk) == {"*"} and draw(st.booleans()) else ",".join(map(str, blk))
+
+    if encoder:
+        for s, ui, wi in itertools.product(range(n_states), range(a_in ** k), range(side ** k)):
+            w_tok = [tok(index_to_block(wi, side, k))] if side > 1 else []
+            lines.append(" ".join(["emit", str(s), tok(index_to_block(ui, a_in, k)), *w_tok, tok((0,) * m)]))
+
+    def block(length, base):
+        wild = st.just(("*",) * length)
+        mixed = st.tuples(*[st.one_of(st.just("*"), st.integers(0, base - 1))] * length)
+        return draw(st.one_of(wild, mixed))
+
+    rules = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = "next" if encoder else draw(st.sampled_from(["out", "next"]))
+        state = draw(st.one_of(st.just("*"), st.integers(0, n_states - 1)))
+        blk = block(in_len, a_in)
+        w_blk = block(k, side) if side > 1 else ()
+        payload = draw(st.integers(0, (a_out ** k if name == "out" else n_states) - 1))
+        rules.append((name, state, blk, w_blk, payload))
+        w_tok = [tok(w_blk)] if side > 1 else []
+        payload_tok = tok(index_to_block(payload, a_out, k)) if name == "out" else str(payload)
+        lines.append(" ".join([name, str(state), tok(blk), *w_tok, payload_tok]))
+    return "\n".join(lines) + "\n", _first_match_scan(encoder, n_states, in_len, a_in, k, side, rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_rule_files())
+def test_load_fsm_tables_are_the_first_match_scan(tmp_path_factory, case):
+    text, expected = case
+    path = tmp_path_factory.getbasetemp() / "rules.fsm"
+    path.write_text(text)
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as err:
+            load_fsm(path)
+        assert str(err.value) == f"{path}: {expected}"
+    else:
+        spec = load_fsm(path)
+        assert np.array_equal(spec.next_state, expected["next"])
+        if "out" in expected:
+            assert np.array_equal(spec.out_table, expected["out"])
+
+
 def test_fsm_load_errors(tmp_path):
     cases = {
         "header": "bogus\nk 1\n",

@@ -9,7 +9,7 @@ from secwire.errors import ValidationError
 from secwire.sequences import (
     Alphabet,
     SymbolSequence,
-    _bulk_bytes,
+    _single_digit_bytes,
     dump_sequence,
     load_sequence,
     pack_symbols,
@@ -318,7 +318,7 @@ def test_digit_bodies_match_token_loop(tmp_path_factory, tokens, seps):
     assert (u.alphabet.size, u.data) == _token_loop(text)
     if all(len(tok) == 1 for tok in tokens):
         body = text.split(maxsplit=2)[2] if tokens else ""
-        assert _bulk_bytes(body) == (body.encode("ascii"), True)
+        assert _single_digit_bytes(body) == body.encode("ascii")
 
 
 _body_pieces = st.one_of(
@@ -330,8 +330,8 @@ _body_pieces = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_body_pieces, max_size=8).map("".join))
 def test_bulk_check_is_the_two_regex_test(body):
-    regex_test = bool(re.fullmatch(r"[0-9\s]*", body, re.ASCII)) and not re.search(r"[0-9]{19}", body)
-    assert (_bulk_bytes(body) is not None) == regex_test
+    regex_test = bool(re.fullmatch(r"[0-9\s]*", body, re.ASCII)) and not re.search(r"[0-9]{2}", body)
+    assert (_single_digit_bytes(body) is not None) == regex_test
 
 
 # Pieces of sequence-file bodies: digits and the six ASCII separators, the
