@@ -182,7 +182,7 @@ def _checked_length(u: SymbolSequence, params: BoundParams, c_s: float, n: int |
 
     n is checked before either theorem takes a prefix of length n.
     """
-    if c_s <= 0.0:
+    if not c_s > 0.0:  # NaN fails too
         raise ValidationError(f"secrecy capacity must be positive, got {c_s}")
     if params.alpha != u.alphabet.size:
         raise ValidationError(
@@ -253,7 +253,7 @@ def theorem2_bound(params: BoundParams, ell: int, i_xz_star: float) -> float:
     """
     if not isinstance(ell, int) or ell < 1:
         raise ValidationError(f"ell must be a positive integer, got {ell!r}")
-    if i_xz_star < 0.0:
+    if not i_xz_star >= 0.0:  # NaN fails too
         raise ValidationError(f"I(X*;Z*) must be nonnegative, got {i_xz_star}")
     return params.m * i_xz_star - params.k * params.eps_s - math.log2(params.q_e) / ell
 

@@ -218,11 +218,7 @@ def _cmd_simulate(args) -> dict:
         else:
             if not args.leak:
                 raise ValidationError("side-information encoders need --leak for --exact-leakage")
-            leak = ch.load_channel(args.leak)
-            # a read-only view: conditional_leakage checks its budgets before reading it
-            shape = (enc.in_size ** len(u), enc.side_size ** len(u))
-            mu = np.broadcast_to(1.0 / (shape[0] * shape[1]), shape)
-            rep = fc.conditional_leakage(enc, triple, leak, len(u), mu)
+            rep = fc.conditional_leakage(enc, triple, ch.load_channel(args.leak), len(u))
             results["leakage"] = {**dataclasses.asdict(rep), "sandwich_slack": rep.sandwich_slack}
     return results
 

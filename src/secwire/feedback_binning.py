@@ -31,13 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import TransitionMatrix, sample
-from .errors import BudgetError, ValidationError
+from .errors import LIST_BUDGET, ValidationError, check_budget
 from .parsing import _conditional_rates, conditional_lz_complexity
 from .rand import substream
 from .sequences import Alphabet, SymbolSequence, unpack_symbols
 from .wyner_binning import WynerCode, ml_decode, wyner_encode
 
-LIST_BUDGET = 2 ** 20  # max alpha^n scanned by the decoder
 MAX_BIN_BITS = 512  # one blake2b digest
 
 
@@ -178,8 +177,7 @@ def list_decode_step(
     _check_delta(delta, n)
     if len(w) != n:
         raise ValidationError(f"side sequence length {len(w)}, expected {n}")
-    if alpha ** n > LIST_BUDGET:
-        raise BudgetError(f"list decoding scans {alpha ** n} sequences, budget {LIST_BUDGET}")
+    check_budget("list decoding", (alpha, n), budget=LIST_BUDGET)
     plen = min(i * r, assign.bits_total)
     if not 0 <= received_prefix < (1 << max(plen, 1)):
         raise ValidationError(f"received prefix {received_prefix} does not fit in {plen} bits")

@@ -13,10 +13,11 @@ a recursion over chunks: each step extends every (u-prefix, w-prefix) pair
 by one chunk, multiplying its z-law by the kernel of the state the prefix
 left. Each entry is thus the left-to-right product of its chunk kernels,
 bit for bit what a per-row np.kron chain gives. The induced channel is its
-side_size == 1 slice. Budgets are checked before anything is allocated; peak
-memory is the output plus the previous level and its gathered kernels, each
-a fraction of the output. Leakage given W-dot^n, a memoryless noisy copy of
-W^n, applies the one-letter leak channel to one side position at a time.
+side_size == 1 slice. Each size that grows with the input is checked once,
+by errors.check_budget, before anything is allocated; peak memory is the
+output plus the previous level and its gathered kernels, each a fraction of
+the output. Leakage given W-dot^n, a memoryless noisy copy of W^n, applies
+the one-letter leak channel to one side position at a time.
 
 FSM file grammar (plain text, # comments allowed). Encoders and decoders
 share one grammar: the kind, the scalars (input alphabet before output
@@ -55,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import ROW_TOL, ChannelTriple, TransitionMatrix, sample
-from .errors import BudgetError, ValidationError
+from .errors import ENUMERATION_BUDGET, MU_GRID_BUDGET, BudgetError, ValidationError, check_budget  # noqa: F401
 from .info_measures import (
     CapacityResult,
     channel_capacity,
@@ -64,8 +65,6 @@ from .info_measures import (
 )
 from .rand import as_rng, substream
 from .sequences import Alphabet, SymbolSequence, read_text
-
-ENUMERATION_BUDGET = 2 ** 24  # max entries in any exactly enumerated matrix
 
 
 def block_to_index(block, base: int) -> int:
@@ -100,6 +99,8 @@ def _normalize_emit(emit, n_states, u_blocks, w_blocks, x_blocks):
                 raise ValidationError(f"emit target {x} out of range for key {key}")
             if p < 0.0:
                 raise ValidationError(f"negative emission probability {p} for key {key}")
+            if not math.isfinite(p):
+                raise ValidationError(f"non-finite emission probability {p} for key {key}")
             if x in seen:
                 raise ValidationError(f"duplicate emission target {x} for key {key}")
             if p > 0.0:
@@ -466,9 +467,9 @@ def induced_security_channel(enc: StochasticEncoderSpec, triple: ChannelTriple, 
     """
     if enc.side_size != 1:
         raise ValidationError("side-information encoders need conditional_leakage instead")
-    u_total, _, z_total = _enumeration_shape(enc, triple, n)
-    rows = _enumerate_g3(enc, triple, n).reshape(u_total, z_total)
-    return TransitionMatrix(Alphabet(u_total), Alphabet(z_total), rows)
+    g3 = _enumerate_g3(enc, triple, n)
+    u_total, _, z_total = g3.shape
+    return TransitionMatrix(Alphabet(u_total), Alphabet(z_total), g3.reshape(u_total, z_total))
 
 
 def max_mi_security(
@@ -502,21 +503,20 @@ class LeakageReport:
 
 
 def _enumeration_shape(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> tuple:
-    """(u_total, w_total, z_total) of the exact enumeration at block length n."""
+    """(u_total, w_total, z_total) at block length n, once the joint and the chunk kernel pass the gate."""
     if n < 1 or n % enc.k != 0:
         raise ValidationError(f"n = {n} is not a positive multiple of k = {enc.k}")
     _check_encoder_output(enc, triple)
-    z_total = triple.wiretap.out_alphabet.size ** (n // enc.k * enc.m)
-    return enc.in_size ** n, enc.side_size ** n, z_total
+    z_size, z_len = triple.wiretap.out_alphabet.size, n // enc.k * enc.m
+    check_budget("joint enumeration", (enc.in_size, n), (enc.side_size, n), (z_size, z_len))
+    check_budget("chunk kernel", enc.n_states, enc.u_blocks, enc.w_blocks, (z_size, enc.m))
+    return enc.in_size ** n, enc.side_size ** n, z_size ** z_len
 
 
-def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
-    """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n), by the chunk recursion."""
-    u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
-    kernel_entries = enc.n_states * enc.u_blocks * enc.w_blocks * triple.wiretap.out_alphabet.size ** enc.m
-    for what, entries in (("joint enumeration", u_total * w_total * z_total), ("chunk kernel", kernel_entries)):
-        if entries > ENUMERATION_BUDGET:
-            raise BudgetError(f"{what} needs {entries} entries, budget {ENUMERATION_BUDGET}")
+def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int, gated: bool = False) -> np.ndarray:
+    """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n) by the chunk recursion; gated: budgets checked."""
+    if not gated:
+        _enumeration_shape(enc, triple, n)
     kern = _chunk_kernels(enc, triple)
     nu, nw, nz = kern.shape[1:]
     level, states = np.ones((1, 1, 1)), np.full((1, 1), enc.initial_state)
@@ -534,12 +534,12 @@ def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> 
     return level
 
 
-def _leak_rows(enc, triple: ChannelTriple, leak_channel: TransitionMatrix | None, n: int) -> np.ndarray:
-    """Rows of the one-letter leak channel W -> W-dot; None means W-dot = W.
+def _leak_rows(enc, triple: ChannelTriple, leak_channel: TransitionMatrix | None, n: int) -> tuple:
+    """(rows of the one-letter leak channel W -> W-dot, enumeration shape); None means W-dot = W.
 
-    Validates the channel, then raises BudgetError when G3 or the (u^n,
-    w-dot^n, z^N) joint would exceed the budget, G3 first. Every array
-    _leakage_report makes lies in size between the two.
+    Validates the channel, then gates the enumeration (_enumeration_shape)
+    and the (u^n, w-dot^n, z^N) joint, in that order. Every array
+    _leakage_report makes lies in size between the two joints.
     """
     if leak_channel is None:
         leak = np.eye(enc.side_size)
@@ -550,14 +550,9 @@ def _leak_rows(enc, triple: ChannelTriple, leak_channel: TransitionMatrix | None
         )
     else:
         leak = leak_channel.rows
-    u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
-    for what, entries in (
-        ("joint enumeration", u_total * w_total * z_total),
-        ("leaked-side joint", u_total * leak.shape[1] ** n * z_total),
-    ):
-        if entries > ENUMERATION_BUDGET:
-            raise BudgetError(f"{what} needs {entries} entries, budget {ENUMERATION_BUDGET}")
-    return leak
+    shape = _enumeration_shape(enc, triple, n)
+    check_budget("leaked-side joint", shape[0], (leak.shape[1], n), shape[2])
+    return leak, shape
 
 
 def _leakage_report(enc, g3: np.ndarray, n: int, leak: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
@@ -582,28 +577,29 @@ def conditional_leakage(
     triple: ChannelTriple,
     leak_channel: TransitionMatrix | None,
     n: int,
-    mu,
+    mu=None,
 ) -> LeakageReport:
     """Exact I(U^n; Z^N | W-dot^n) plus companions, by full enumeration.
 
     mu is the joint source/side distribution with shape (in_size^n,
-    side_size^n); a 1-D mu is accepted for plain encoders. leak_channel maps
-    the side alphabet to the eavesdropper's degraded view W-dot; None means
-    W-dot = W. Raises BudgetError, before allocating anything or reading
-    mu's entries (a broadcast view of any shape is free to pass), when G3
-    or the joint with W-dot would exceed the budget. The one-letter leak
-    channel is applied to one side position at a time.
+    side_size^n); a 1-D mu is accepted for plain encoders, and None means
+    the uniform law (a broadcast view, so it takes no memory). leak_channel
+    maps the side alphabet to the eavesdropper's degraded view W-dot; None
+    means W-dot = W. Raises BudgetError, before allocating anything or
+    reading mu, when G3 or the joint with W-dot would exceed the budget.
+    The one-letter leak channel is applied to one side position at a time.
     """
+    leak, (u_total, w_total, _) = _leak_rows(enc, triple, leak_channel, n)
+    if mu is None:
+        mu = np.broadcast_to(1.0 / (u_total * w_total), (u_total, w_total))
     mu_arr = np.asarray(mu, dtype=float)
     if mu_arr.ndim == 1:
         mu_arr = mu_arr[:, None]
-    u_total, w_total = enc.in_size ** n, enc.side_size ** n
     if mu_arr.shape != (u_total, w_total):
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
-    leak = _leak_rows(enc, triple, leak_channel, n)
     if not (mu_arr.min() >= 0.0 and abs(float(mu_arr.sum()) - 1.0) <= 1e-9):  # NaN fails too
         raise ValidationError("mu must be a joint probability distribution")
-    return _leakage_report(enc, _enumerate_g3(enc, triple, n), n, leak, mu_arr)
+    return _leakage_report(enc, _enumerate_g3(enc, triple, n, gated=True), n, leak, mu_arr)
 
 
 def max_conditional_leakage(
@@ -616,25 +612,18 @@ def max_conditional_leakage(
     """Maximize conditional leakage over a simplex grid of joint mu.
 
     Exhaustive over compositions with resolution grid_step; tiny n only.
-    G3 does not depend on mu, so it is enumerated once. The grid size and
-    the entries computed over the whole grid are checked against their
-    budgets before anything is allocated. Returns (best LeakageReport, best mu).
+    G3 does not depend on mu, so it is enumerated once. The enumeration, the
+    grid size and the entries computed over the whole grid are gated, in that
+    order, before anything is allocated. Returns (best LeakageReport, best mu).
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError(f"grid step {grid_step} outside (0, 0.5]")
-    cells = (enc.in_size ** n) * (enc.side_size ** n)
+    leak, (u_total, w_total, z_total) = _leak_rows(enc, triple, leak_channel, n)
+    cells = u_total * w_total
     levels = int(round(1.0 / grid_step))
-    count = math.comb(levels + cells - 1, cells - 1)
-    if count > 200000:
-        raise BudgetError(f"mu grid would have {count} points, budget 200000")
-    leak = _leak_rows(enc, triple, leak_channel, n)
-    u_total, w_total, z_total = _enumeration_shape(enc, triple, n)
-    if count * cells * z_total > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"mu grid of {count} points x {cells * z_total} entries exceeds budget "
-            f"{ENUMERATION_BUDGET}"
-        )
-    g3 = _enumerate_g3(enc, triple, n)
+    count = check_budget("mu grid", math.comb(levels + cells - 1, cells - 1), budget=MU_GRID_BUDGET)
+    check_budget("mu grid enumeration", count, cells, z_total)
+    g3 = _enumerate_g3(enc, triple, n, gated=True)
     best = None
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1
@@ -751,18 +740,10 @@ def _build_spec(kind, scalars, emit_lines, rule_lines):
     _check_scalars(dict(k=k, m=m, in_size=a_in, out_size=a_out, n_states=n_states, side_size=side), init)
     has_side = side > 1
     in_len = k if encoder else m
-    # the table cells as a running product that stops past the budget, so no huge power is formed
-    cells = n_states
-    for base, length in ((a_in, in_len), (side, k)):
-        for _ in range(length if base > 1 else 0):
-            if cells > ENUMERATION_BUDGET:
-                break
-            cells *= base
-    if cells > ENUMERATION_BUDGET:
-        raise BudgetError(
-            f"tables of {n_states} states x {a_in}^{in_len} input blocks x {side}^{k} side blocks "
-            f"exceed budget {ENUMERATION_BUDGET}"
-        )
+    check_budget("FSM table", n_states, (a_in, in_len), (side, k))
+    # a decoder's out table holds source block indices, up to a_out^k - 1
+    if not encoder and a_out ** min(k, 64) > 2 ** 63:
+        raise ValidationError(f"{a_out}^{k} source blocks overflow the int64 out table")
     emit: dict = {}
     for toks in emit_lines:
         want = 4 + has_side

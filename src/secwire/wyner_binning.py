@@ -13,7 +13,8 @@ product over a zero-padded child array. Bins are contracted in groups whose
 arrays hold at most LEAKAGE_BLOCK_ENTRIES entries (a group is never smaller
 than one bin), and each group's laws are written straight into the per-bin
 array (2^secret_bits x |Z|^N). The budget counts those per-bin laws plus
-one group's tables, and is checked before anything is allocated.
+one group's tables; errors.check_budget checks it, as it does the codebook's,
+before anything is allocated and without forming |Z|^N for a long block.
 
 ML decoding has one scorer, _ml_decisions, for a stack of received words:
 each word's (input, output) pair counts for every codeword come from 0/1
@@ -42,10 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelTriple, TransitionMatrix, _check_input
-from .errors import BudgetError, ValidationError
+from .errors import ValidationError, check_budget
 from .info_measures import check_prob_vector, _entropy_raw, mutual_information, secrecy_capacity
 from .bounds import BoundParams, theorem2_bound
-from .fsm_codec import ENUMERATION_BUDGET
 from .parsing import lz_complexity, prefix_phrase_counts
 from .rand import _substream_draws, as_rng, inverse_cdf_sample
 from .sequences import Alphabet, SymbolSequence
@@ -96,9 +96,8 @@ def build_code(block_len: int, secret_bits: int, random_bits: int, input_dist, s
             f"rate overflow: {secret_bits} + {random_bits} bits exceed "
             f"{block_len} symbols over an alphabet of {p.size}"
         )
+    check_budget("codebook", (2, secret_bits + random_bits), block_len)
     total_words = (2 ** secret_bits) * (2 ** random_bits)
-    if total_words * block_len > ENUMERATION_BUDGET:
-        raise BudgetError(f"codebook of {total_words} x {block_len} symbols exceeds budget")
     rng = as_rng(seed)
     draws = rng.random((total_words, block_len))
     cum = np.cumsum(p)
@@ -192,12 +191,13 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
     """Exact I(secret; Z^N) in bits, uniform secret and inner randomness.
 
     Raises BudgetError, before allocating anything, when the (bins, |Z|^N)
-    per-bin laws plus one group's tables would exceed ENUMERATION_BUDGET
-    entries; that is the peak memory. Within the budget, each bin's law is
-    contracted over its codewords' prefix tree (see _contract_bins), then
-    divided by words_per_bin. The sums run in tree order, not codeword
-    order, so the result can differ from the direct per-codeword formula in
-    the last bits.
+    per-bin laws plus one group's tables would exceed the enumeration
+    budget; that is the peak memory. The per-bin laws are gated first, so
+    the per-depth table sizes are only summed for a feasible N. Within the
+    budget, each bin's law is contracted over its codewords' prefix tree
+    (see _contract_bins), then divided by words_per_bin. The sums run in
+    tree order, not codeword order, so the result can differ from the direct
+    per-codeword formula in the last bits.
     """
     if eaves_channel.in_alphabet.size != code.in_size:
         raise ValidationError(
@@ -206,6 +206,7 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
         )
     rows = eaves_channel.rows
     (x_size, z_size), n = rows.shape, code.block_len
+    laws = check_budget("output-law enumeration", code.bins, (z_size, n))
     # a group's largest depth: old tables, pad and new tables. A bin has at most
     # min(|X|^(d-1), words_per_bin) nodes of depth d - 1, and |X| >= 2
     per_bin_entries = max(
@@ -214,9 +215,7 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
         for d in range(1, n + 1)
     )
     group = max(1, LEAKAGE_BLOCK_ENTRIES // per_bin_entries)
-    total = code.bins * z_size ** n + group * per_bin_entries
-    if total > ENUMERATION_BUDGET:
-        raise BudgetError(f"output-law enumeration needs {total} entries, budget {ENUMERATION_BUDGET}")
+    check_budget("output-law enumeration", laws + group * per_bin_entries)
     per_bin = _contract_bins(code, rows, group)
     per_bin /= code.words_per_bin
     marginal = per_bin.mean(axis=0)

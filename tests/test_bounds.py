@@ -264,6 +264,21 @@ def test_theorem2_formula():
         theorem2_bound(params, ell=1, i_xz_star=-0.1)
 
 
+@pytest.mark.parametrize("c_s", [math.nan, 0.0, -0.5])
+def test_theorems_reject_nonpositive_or_nan_capacity(c_s):
+    u = sequence_from_array([0, 1] * 8, 2)
+    with pytest.raises(ValidationError, match="secrecy capacity must be positive"):
+        theorem1_bound(u, BoundParams(k=1, m=1), c_s=c_s)
+    with pytest.raises(ValidationError, match="secrecy capacity must be positive"):
+        theorem3_bound(u, u, BoundParams(k=1, m=1, omega=2), c_s=c_s)
+
+
+@pytest.mark.parametrize("i_xz_star", [math.nan, -0.1, -math.inf])
+def test_theorem2_rejects_negative_or_nan_leakage(i_xz_star):
+    with pytest.raises(ValidationError, match="must be nonnegative"):
+        theorem2_bound(BoundParams(k=2, m=3, q_e=4, eps_s=0.01), ell=2, i_xz_star=i_xz_star)
+
+
 def test_theorem3_terms_and_validation():
     rng = np.random.default_rng(29)
     u = sequence_from_array(rng.integers(0, 2, 256), 2)

@@ -332,7 +332,9 @@ _FSM_HEADER = "{kind}\nk {k}\nm {m}\n{names[0]} {a}\n{names[1]} {b}\nstates 1\ni
 
 
 def _crash_argv(tmp_path, case):
-    # case is "ell<value>", "pipeline<mode>" or "<kind>-<k>-<m>-<in alphabet>-<out alphabet>"
+    # case is "ell<value>", "pipeline<mode>", "wyner<N>-<secret bits>-<random bits>",
+    # "leakage-plain", "leakage-side", or "<kind>-<k>-<m>-<in alphabet>-<out alphabet>"
+    # with an optional "-<rule lines>" written after the header
     main = _write_bsc(tmp_path / "m.ch", 0.05)
     wire = _write_bsc(tmp_path / "w.ch", 0.2)
     wyner = [
@@ -344,11 +346,36 @@ def _crash_argv(tmp_path, case):
     if case.startswith("pipeline"):
         (tmp_path / "empty.seq").write_text("alphabet 2\n")
         return wyner + ["--pipeline", case[8:], "--seq", str(tmp_path / "empty.seq")]
+    if case.startswith("wyner"):
+        n, secret_bits, random_bits = case[5:].split("-")
+        return [
+            "wyner", "--N", n, "--secret-bits", secret_bits, "--random-bits", random_bits,
+            "--main", main, "--wiretap", wire, "--trials", "1", "--seed", "3",
+        ]
     enc, dec = _identity_fsm_files(tmp_path)
-    kind, k, m, a, b = case.split("-")
+    if case.startswith("leakage"):
+        # 20 000 symbols: the joint enumeration has 2^20000 x side^20000 x 2^20000 entries
+        rng = np.random.default_rng(20)
+        common = [
+            "--dec", dec, "--main", main, "--wiretap", wire, "--trials", "1", "--seed", "1", "--exact-leakage",
+            "--seq", _write_seq(tmp_path / "u.seq", rng.integers(0, 2, 20000)),
+        ]
+        if case == "leakage-plain":
+            return ["simulate", "--enc", enc] + common
+        side = SideInfoEncoderSpec(
+            k=1, m=1, in_size=2, out_size=2, n_states=1,
+            emit={(0, u, w): [(u, 1.0)] for u in range(2) for w in range(2)},
+            next_state=np.zeros((1, 2, 2), dtype=int), side_size=2,
+        )
+        dump_fsm(side, tmp_path / "side.fsm")
+        return ["simulate", "--enc", str(tmp_path / "side.fsm")] + common + [
+            "--side", _write_seq(tmp_path / "s.seq", rng.integers(0, 2, 20000)),
+            "--leak", _write_bsc(tmp_path / "l.ch", 0.3),
+        ]
+    kind, k, m, a, b, *rules = case.split("-")
     names = ("alpha", "beta") if kind == "encoder" else ("gamma", "alpha")
     big = tmp_path / "big.fsm"
-    big.write_text(_FSM_HEADER.format(kind=kind, k=k, m=m, names=names, a=a, b=b))
+    big.write_text(_FSM_HEADER.format(kind=kind, k=k, m=m, names=names, a=a, b=b) + "".join(rules))
     return [
         "simulate", "--enc", str(big) if kind == "encoder" else enc,
         "--dec", str(big) if kind == "decoder" else dec,
@@ -364,15 +391,32 @@ def _crash_argv(tmp_path, case):
         ("ell-1", 2, "ell must be a positive integer, got -1"),
         ("pipelinefixed", 2, "separation needs a nonempty source sequence"),
         ("pipelinevtf", 2, "separation needs a nonempty source sequence"),
-        ("decoder-1-12-10-10", 3, "tables of 1 states x 10^12 input blocks x 1^1 side blocks exceed budget 16777216"),
-        ("encoder-40-1-2-2", 3, "tables of 1 states x 2^40 input blocks x 1^40 side blocks exceed budget 16777216"),
-        ("encoder-100-1-2-2", 3, "tables of 1 states x 2^100 input blocks x 1^100 side blocks exceed budget 16777216"),
+        ("decoder-1-12-10-10", 3, "FSM table needs 1000000000000 entries, budget 16777216"),
+        ("encoder-40-1-2-2", 3, "FSM table needs 1099511627776 entries, budget 16777216"),
+        ("encoder-100-1-2-2", 3, "FSM table needs 1 x 2^100 x 1^100 entries, budget 16777216"),
+        # budget counts far past Python's int-to-string digit limit
+        ("wyner20000-1-0", 0, "output-law enumeration needs 2 x 2^20000 entries, budget 16777216"),
+        ("wyner20000-10000-10000", 3, "codebook needs 2^20000 x 20000 entries, budget 16777216"),
+        ("leakage-plain", 3, "joint enumeration needs 2^20000 x 1^20000 x 2^20000 entries, budget 16777216"),
+        ("leakage-side", 3, "joint enumeration needs 2^20000 x 2^20000 x 2^20000 entries, budget 16777216"),
+        # a NaN emission probability once loaded, dropped as if it were 0
+        ("encoder-1-1-2-2-emit 0 0 0 1\nemit 0 0 1 nan\nemit 0 1 1\nnext * * 0\n", 2,
+         "non-finite emission probability nan for key (0, 0, 0)"),
+        # 2^70 - 1 does not fit the int64 out table
+        ("decoder-70-1-2-2-out * * " + ",".join(["1"] * 70) + "\nnext * * 0\n", 2,
+         "2^70 source blocks overflow the int64 out table"),
     ],
 )
 def test_crash_inputs_exit_with_one_error_line(tmp_path, capsys, case, code, message):
     # each of these once ended in a traceback, or asked NumPy for terabytes
     assert cli.main(_crash_argv(tmp_path, case)) == code
     captured = capsys.readouterr()
+    if code == 0:
+        # a Wyner code whose leakage is over budget still reports its error rates
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert results["leakage_bits"] is None and results["leakage_note"] == message
+        return
     assert captured.out == ""
     assert captured.err.startswith("secwire: validation error: " if code == 2 else "secwire: budget exceeded: ")
     assert captured.err.endswith(message + "\n") and captured.err.count("\n") == 1

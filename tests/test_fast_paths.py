@@ -1134,7 +1134,7 @@ def test_max_conditional_leakage_checks_budgets_first():
     triple = ChannelTriple(channel_from_rows(_random_rows(rng, 2, 2)), channel_from_rows(_random_rows(rng, 2, 3)))
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetError, match="mu grid of"):
+        with pytest.raises(BudgetError, match="mu grid enumeration needs"):
             fc.max_conditional_leakage(wide, triple, None, 2, grid_step=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -132,6 +132,17 @@ def test_block_index_round_trip():
         block_to_index((0, 2), 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spec_rejects_non_finite_emission(bad):
+    # a NaN once passed both the sign test and the sum, dropped as if it were 0
+    with pytest.raises(ValidationError, match=rf"^non-finite emission probability {bad} for key \(0, 0, 0\)$"):
+        StochasticEncoderSpec(
+            k=1, m=1, in_size=2, out_size=2, n_states=1,
+            emit={(0, 0): [(0, 1.0), (1, bad)], (0, 1): [(1, 1.0)]},
+            next_state=np.zeros((1, 2, 1), dtype=int),
+        )
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         StochasticEncoderSpec(
