@@ -11,19 +11,24 @@ most rho + delta + r/n.
 
 Bin assignment is lazy: a keyed blake2b hash stands in for the shared random
 binning table, so the encoder never materializes anything of size alpha^n.
-The decoder's list step does enumerate the alpha^n candidates and is
-budget-guarded. It hashes each of them once per assignment, into an int64
-table of bin indices (at most 8 MiB at LIST_BUDGET) built in chunks in the
-first round that scans, and every later round of the session filters that
-table. Every hash, the encoder's and the table's, copies a keyed blake2b
-object (_keyed_digest), which costs less than keying a new one per input;
-the table copies one such template per candidate. Rounds whose threshold
-i r - n delta is negative cannot ACK, since n rho_min >= 0, so they hash
-nothing.
+The decoder's list step ranks the alpha^n candidates (budget-guarded) once
+per side sequence: one walk of the candidate tree (parsing._candidate_rates)
+gives every conditional rate, and a stable sort orders the candidates by
+(rate, index), kept as NumPy arrays (12 MiB at LIST_BUDGET) and shared by
+every session with the same w. The survivor a round releases is the first
+candidate in that order whose bin prefix matches, so a round walks the order
+while n rho <= i r - n delta, the ACK test itself, and stops at the first
+match. Bins come from bin_bits, the encoder's own hash, memoized per
+assignment in an int32 array, so no candidate is hashed twice in a session
+and none past the threshold is hashed at all. Every hash copies a keyed
+blake2b object (_keyed_digest), which costs less than keying a new one per
+input. Rounds whose threshold i r - n delta is negative cannot ACK, since
+n rho_min >= 0, so they rank and hash nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -32,9 +37,9 @@ import numpy as np
 
 from .channels import TransitionMatrix, sample
 from .errors import LIST_BUDGET, ValidationError, check_budget
-from .parsing import _conditional_rates, conditional_lz_complexity
+from .parsing import _candidate_rates, conditional_lz_complexity
 from .rand import substream
-from .sequences import Alphabet, SymbolSequence, unpack_symbols
+from .sequences import Alphabet, SymbolSequence
 from .wyner_binning import WynerCode, ml_decode, wyner_encode
 
 MAX_BIN_BITS = 512  # one blake2b digest
@@ -57,17 +62,27 @@ def _first_round(ok, start: int, first: int) -> int:
     return i
 
 
-def _candidates(index: np.ndarray, n: int, alpha: int) -> np.ndarray:
-    """Candidates by index, as uint8 rows of base-alpha digits.
-
-    Row k is tuple number index[k] of itertools.product(range(alpha), repeat=n):
-    the digits of index[k], most significant first.
-    """
-    digits = np.empty((index.size, n), dtype=np.uint8)
-    rest = index
+def _digits(index: int, n: int, alpha: int) -> bytes:
+    """Candidate number index of itertools.product(range(alpha), repeat=n), one byte a symbol."""
+    digits = bytearray(n)
     for j in range(n - 1, -1, -1):
-        rest, digits[:, j] = np.divmod(rest, alpha)
-    return digits
+        index, digits[j] = divmod(index, alpha)
+    return bytes(digits)
+
+
+@functools.lru_cache(maxsize=1)
+def _ranking(n: int, alpha: int, w_packed: bytes, omega: int) -> tuple:
+    """(rates in ascending order, the candidate indices in that order), ties by index.
+
+    Both are read-only arrays: float64 and int32, since alpha^n is within
+    LIST_BUDGET. The one entry cached is the last w ranked, which the
+    sessions of one CLI call share.
+    """
+    rates = np.frombuffer(_candidate_rates(n, alpha, w_packed, omega), dtype=np.float64)
+    order = np.argsort(rates, kind="stable").astype(np.int32)
+    ranked = rates[order]
+    ranked.flags.writeable = order.flags.writeable = False
+    return ranked, order
 
 
 def _keyed_digest(template, data: bytes) -> bytes:
@@ -92,7 +107,7 @@ class BinAssignment:
     _key: bytes = field(init=False, repr=False, compare=False)
     _digest_size: int = field(init=False, repr=False, compare=False)
     _shift: int = field(init=False, repr=False, compare=False)
-    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _bins: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -121,31 +136,14 @@ class BinAssignment:
             raise ValidationError(f"sequence length {len(data)}, expected {self.n}")
         return int.from_bytes(_keyed_digest(self._hasher(), data), "big") >> self._shift
 
-    def _bin_table(self) -> np.ndarray:
-        """bin_bits of every length-n candidate in itertools.product order, as int64.
+    def _bin_memo(self) -> np.ndarray:
+        """bin_bits by candidate index, -1 where not hashed yet; made on first use.
 
-        Built on first use and kept: one keyed blake2b template per table,
-        copied per candidate, each digest folded big-endian. Callers keep
-        alpha^n within LIST_BUDGET, so an index has at most 20 bits and int64
-        is exact. Candidates are hashed 2^14 at a time, which bounds the
-        scratch memory beside the table; no hash object outlives its digest.
+        Callers keep alpha^n within LIST_BUDGET, so a bin has at most 20 bits.
         """
-        if self._table is None:
-            n, alpha = self.n, self.alphabet_size
-            table = np.empty(alpha ** n, dtype=np.int64)
-            template, digest, size = self._hasher(), _keyed_digest, self._digest_size
-            chunk = 2 ** 14
-            for start in range(0, table.size, chunk):
-                stop = min(start + chunk, table.size)
-                raw = _candidates(np.arange(start, stop), n, alpha).tobytes()
-                digests = b"".join([digest(template, raw[k : k + n]) for k in range(0, len(raw), n)])
-                cols = np.frombuffer(digests, dtype=np.uint8).reshape(stop - start, size)
-                acc = np.zeros(stop - start, dtype=np.int64)
-                for col in cols.T:
-                    acc = (acc << 8) | col
-                table[start:stop] = acc >> self._shift
-            object.__setattr__(self, "_table", table)
-        return self._table
+        if self._bins is None:
+            object.__setattr__(self, "_bins", np.full(self.alphabet_size ** self.n, -1, dtype=np.int32))
+        return self._bins
 
 
 def assign_bins(n: int, alphabet: Alphabet, seed: int) -> BinAssignment:
@@ -166,10 +164,11 @@ def list_decode_step(
     Returns (ack, candidate); the candidate is released only on ACK and ties
     in complexity go to the lexicographically smallest sequence. A round
     whose threshold i*r - n*delta is negative returns (False, None) after
-    validation, without hashing: no complexity is negative. Survivors come
-    from the assignment's bin table; the candidate released on ACK is
-    hashed once more with bin_bits, the encoder's own hash, so the table
-    cannot release a sequence outside the received bin.
+    validation, without ranking or hashing: no complexity is negative.
+    Otherwise the round walks the (rate, index) order while n*rho is within
+    the threshold and releases the first candidate whose bin_bits prefix is
+    the received one; the survivor of least (rate, index) is that candidate,
+    and when it is past the threshold, so is every other survivor.
     """
     if i < 1 or r < 1:
         raise ValidationError(f"chunk index and size must be >= 1, got i={i}, r={r}")
@@ -186,19 +185,18 @@ def list_decode_step(
         # n * rho >= 0 for every candidate, so this round cannot ACK
         return False, None
     shift = assign.bits_total - plen
-    survivors = np.flatnonzero(assign._bin_table() >> shift == received_prefix)
-    if survivors.size == 0:
-        return False, None
-    cands = _candidates(survivors, n, alpha)
-    rates = _conditional_rates(cands, unpack_symbols(w.packed(), w.alphabet.size), w.alphabet.size)
-    # ascending table index is lexicographic order, and index() finds the first minimum
-    best_rho = min(rates)
-    best_k = rates.index(best_rho)
-    if n * best_rho <= threshold:
-        best_u = tuple(cands[best_k].tolist())
-        if assign.bin_bits(best_u) >> shift != received_prefix:
-            raise RuntimeError("bin table disagrees with bin_bits")
-        return True, SymbolSequence(Alphabet(alpha), best_u)
+    rates, order = _ranking(n, alpha, w.packed(), w.alphabet.size)
+    # memoryviews yield Python floats and ints one at a time, without copying the arrays
+    bins = memoryview(assign._bin_memo())
+    for rho, k in zip(memoryview(rates), memoryview(order)):
+        if n * rho > threshold:
+            break
+        b = bins[k]
+        if b < 0:
+            b = assign.bin_bits(_digits(k, n, alpha))
+            bins[k] = b
+        if b >> shift == received_prefix:
+            return True, SymbolSequence(Alphabet(alpha), tuple(_digits(k, n, alpha)))
     return False, None
 
 

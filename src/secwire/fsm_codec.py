@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import ROW_TOL, ChannelTriple, TransitionMatrix, sample
-from .errors import ENUMERATION_BUDGET, MU_GRID_BUDGET, BudgetError, ValidationError, check_budget  # noqa: F401
+from .errors import ENUMERATION_BUDGET, MU_GRID_BUDGET, BudgetError, Comb, ValidationError, check_budget  # noqa: F401
 from .info_measures import (
     CapacityResult,
     channel_capacity,
@@ -618,10 +618,12 @@ def max_conditional_leakage(
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValidationError(f"grid step {grid_step} outside (0, 0.5]")
+    if math.isinf(1.0 / grid_step):
+        raise ValidationError(f"grid step {grid_step} has no finite reciprocal")
     leak, (u_total, w_total, z_total) = _leak_rows(enc, triple, leak_channel, n)
     cells = u_total * w_total
     levels = int(round(1.0 / grid_step))
-    count = check_budget("mu grid", math.comb(levels + cells - 1, cells - 1), budget=MU_GRID_BUDGET)
+    count = check_budget("mu grid", Comb(levels + cells - 1, cells - 1), budget=MU_GRID_BUDGET)
     check_budget("mu grid enumeration", count, cells, z_total)
     g3 = _enumerate_g3(enc, triple, n, gated=True)
     best = None

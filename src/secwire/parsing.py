@@ -14,7 +14,9 @@ short one-byte pair stream, a Python comprehension over the two sequences'
 packed bytes), and keys the w-phrase multiplicities by slices of w's packed
 bytes. The conditional rate is summed by one function,
 _rate_of_multiplicities, straight off the pair walk's w-phrase counts:
-conditional_lz_complexity builds no JointPhraseParse.
+conditional_lz_complexity builds no JointPhraseParse. For every length-n u
+at once (the feedback list decoder's candidates), _candidate_rates walks the
+candidate tree instead, sharing the pair parse along common prefixes.
 
 Counting conventions differ deliberately between the two parses. The plain
 parse counts a trailing incomplete phrase toward c. The joint parse counts
@@ -29,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +226,53 @@ def _conditional_rates(u_rows: np.ndarray, w: np.ndarray, omega: int) -> list:
         _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs[a : a + step], width)[0], w_packed, w_width).values(), n)
         for a in range(0, len(pairs), step)
     ]
+
+
+def _candidate_rates(n: int, alpha: int, w_packed: bytes, omega: int) -> array:
+    """Conditional rate of every length-n u over alpha symbols given packed w, in itertools.product order.
+
+    One depth-first walk of the candidate tree, so leaf k is candidate k. It
+    keeps the pair-stream LZ78 state along shared prefixes: the trie as a dict
+    (node, u * omega + w_d) -> child, and the w-phrase counts in one
+    insertion-ordered dict. A new phrase adds one trie edge and one count on
+    the way down; both are undone on the way back up, a count that falls to 0
+    losing its key, so the dict keeps first-appearance order. Each leaf sums
+    its counts with _rate_of_multiplicities, so every rate equals
+    _conditional_rates bit for bit.
+    """
+    w = unpack_symbols(w_packed, omega).tolist()
+    width = symbol_width(omega)
+    # w_keys[a][b]: the packed w-part of a phrase over symbols [a, b)
+    w_keys = [[w_packed[a * width : b * width] for b in range(n + 1)] for a in range(n + 1)]
+    fanout = alpha * omega
+    trie: dict = {}
+    counts: dict = {}
+    rates = array("d")
+
+    def walk(d: int, node: int, start: int) -> None:
+        if d == n:
+            rates.append(_rate_of_multiplicities(counts.values(), n))
+            return
+        base, wd, keys = node * fanout, w[d], w_keys[start]
+        for x in range(alpha):
+            edge = base + x * omega + wd
+            child = trie.get(edge)
+            if child is not None:
+                walk(d + 1, child, start)
+                continue
+            # a new phrase over [start, d + 1); the live nodes are 1..len(trie)
+            trie[edge] = len(trie) + 1
+            key = keys[d + 1]
+            counts[key] = counts.get(key, 0) + 1
+            walk(d + 1, 0, d + 1)
+            del trie[edge]
+            if counts[key] == 1:
+                del counts[key]
+            else:
+                counts[key] -= 1
+
+    walk(0, 0, 0)
+    return rates
 
 
 def _conditional_rate(u, w, omega: int) -> float:

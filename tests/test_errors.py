@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secwire import errors
-from secwire.errors import ENUMERATION_BUDGET, LIST_BUDGET, MU_GRID_BUDGET, BudgetError, check_budget
+from secwire.errors import ENUMERATION_BUDGET, LIST_BUDGET, MU_GRID_BUDGET, BudgetError, Comb, check_budget
 
 _BASES = st.one_of(st.integers(0, 3), st.integers(2 ** 20, 2 ** 62))
 _FACTORS = st.lists(
@@ -52,6 +52,37 @@ def test_gate_returns_the_exact_product_or_raises(factors, budget):
     assert min(timeit.repeat(call, number=1, repeat=3)) < 0.01
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    top=st.one_of(st.integers(0, 200), st.integers(2 ** 60, 2 ** 70), st.integers(10 ** 300, 10 ** 400)),
+    k=st.integers(0, 10 ** 6),
+    scale=st.integers(0, 5),
+    budget=_BUDGETS,
+)
+def test_gate_takes_a_binomial_factor(top, k, scale, budget):
+    # C(top, k) is formed step by step and cut off past budget squared, so a
+    # huge binomial costs a few steps and prints in under 200 characters
+    k = min(k, top)
+
+    def call():
+        try:
+            return check_budget("grid", scale, Comb(top, k), budget=budget)
+        except BudgetError as exc:
+            return exc
+
+    got = call()
+    # the exact count where it is cheap to form here
+    exact = 0 if scale == 0 else scale * math.comb(top, k) if min(k, top - k) <= 64 else None
+    if exact is not None and exact <= budget:
+        assert got == exact
+    else:
+        assert isinstance(got, BudgetError)
+        if exact is not None and exact <= budget * budget:
+            assert f"grid needs {exact} " in str(got)
+        assert len(str(got)) < 200
+    assert min(timeit.repeat(call, number=1, repeat=3)) < 0.01
+
+
 def test_gate_message_forms():
     with pytest.raises(BudgetError, match=r"^codebook needs 2\^20000 x 20000 entries, budget 16777216$"):
         check_budget("codebook", (2, 20000), 20000)
@@ -59,6 +90,9 @@ def test_gate_message_forms():
         check_budget("list decoding", (2, 21), budget=LIST_BUDGET)
     with pytest.raises(BudgetError, match=r"^mu grid needs 200001 points, budget 200000$"):
         check_budget("mu grid", 200001, budget=MU_GRID_BUDGET)
+    with pytest.raises(BudgetError, match=r"^mu grid needs C\(~1\.00e300, 15\) points, budget 200000$"):
+        check_budget("mu grid", Comb(10 ** 300 + 15, 15), budget=MU_GRID_BUDGET)
+    assert check_budget("mu grid", Comb(115, 15), Comb(7, 0), budget=2 ** 62) == math.comb(115, 15)
     # a zero factor makes the count 0, however large the others
     assert check_budget("empty", (3, 10 ** 9), 0) == 0
     assert check_budget("ones", (1, 10 ** 9), (5, 0), ENUMERATION_BUDGET) == ENUMERATION_BUDGET

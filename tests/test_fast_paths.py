@@ -10,6 +10,7 @@ the contraction pins its bits.
 import hashlib
 import itertools
 import math
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from secwire import rand
 from secwire import wyner_binning as wb
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, sample, validate
 from secwire.errors import BudgetError, ValidationError
-from secwire.parsing import _conditional_rate, conditional_lz_complexity, joint_parse
+from secwire.parsing import _conditional_rate, _conditional_rates, conditional_lz_complexity, joint_parse
 from secwire.rand import substream
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
 
@@ -1118,6 +1119,23 @@ def test_max_conditional_leakage_equals_per_point_loop(n, side_size, step):
     assert _bitwise_equal(mu, ref_mu)
 
 
+def test_max_conditional_leakage_gates_a_huge_grid_quickly():
+    # levels = 10^300 and 16 cells: the binomial grid size is cut off in the
+    # gate instead of formed (it used to end in a digit-limit ValueError)
+    enc = _random_encoder(5, 1, 1, 2, 1)
+    triple = ChannelTriple(bsc(0.1), bsc(0.2))
+
+    def call():
+        with pytest.raises(BudgetError, match=r"^mu grid needs C\(~1\.00e300, 15\) points, budget 200000$") as exc:
+            fc.max_conditional_leakage(enc, triple, None, 4, grid_step=1e-300)
+        return exc
+
+    assert len(str(call().value)) < 200
+    assert min(timeit.repeat(call, number=1, repeat=3)) < 0.01
+    with pytest.raises(ValidationError, match="grid step 5e-324 has no finite reciprocal"):
+        fc.max_conditional_leakage(enc, triple, None, 4, grid_step=5e-324)
+
+
 def test_max_conditional_leakage_checks_budgets_first():
     enc = _random_encoder(5, 1, 1, 2, 2)
     triple = ChannelTriple(bsc(0.1), bsc(0.2))
@@ -1209,10 +1227,19 @@ def test_list_decode_step_equals_full_scan(n, alpha, r, delta):
     assert negative > 0 or delta == 0.0
 
 
+def _hashed_within(assign, w, threshold) -> set:
+    """Every candidate (as bytes) a round with this threshold may hash: n * rho within it."""
+    n, alpha = assign.n, assign.alphabet_size
+    return {
+        bytes(c)
+        for c in itertools.product(range(alpha), repeat=n)
+        if not n * conditional_lz_complexity(SymbolSequence(Alphabet(alpha), c), w) > threshold
+    }
+
+
 def test_list_decode_step_skips_hashing_when_threshold_negative(monkeypatch):
-    # the bin table is hashed once per assignment, in the first round that scans;
-    # a round that ACKs hashes its released candidate once more. calls holds
-    # one (data,) per candidate hashed, by the table or by bin_bits
+    # calls holds one (data,) per candidate hashed: a round hashes only
+    # candidates with n * rho within its threshold, each once per assignment
     assign = fb.BinAssignment(n=8, alphabet_size=2, seed=3)
     w = SymbolSequence(Alphabet(2), (0, 1) * 4)
     calls = []
@@ -1220,50 +1247,136 @@ def test_list_decode_step_skips_hashing_when_threshold_negative(monkeypatch):
     monkeypatch.setattr(fb, "_keyed_digest", lambda template, data: calls.append((data,)) or real(template, data))
     assert fb.list_decode_step(assign, w, 1, 1, 2, 0.5) == (False, None)  # 2 - 4 < 0
     assert calls == []
-    first = fb.list_decode_step(assign, w, 1, 2, 2, 0.5)  # 4 - 4 = 0: a full scan
-    assert len(calls) == 2 ** 8 + first[0]
+    first = fb.list_decode_step(assign, w, 1, 2, 2, 0.5)  # 4 - 4 = 0
+    hashed = [data for (data,) in calls]
+    assert len(set(hashed)) == len(hashed) and set(hashed) <= _hashed_within(assign, w, 0.0)
     calls.clear()
     assert fb.list_decode_step(assign, w, 1, 2, 2, 0.5) == first
-    assert len(calls) == first[0]
-    calls.clear()
-    later = fb.list_decode_step(assign, w, 5, 3, 2, 0.5)
-    assert later[0] and calls == [(bytes(later[1].data),)]
+    assert calls == []  # every bin this round reads is memoized
+    later = fb.list_decode_step(assign, w, 5, 3, 2, 0.5)  # 6 - 4 = 2
+    assert later[0]
+    more = [data for (data,) in calls]
+    assert len(set(more)) == len(more) and not set(more) & set(hashed)
+    assert set(more) <= _hashed_within(assign, w, 2.0)
 
 
 def test_list_decode_step_checks_released_candidate_against_bin_bits():
+    # every bin the decoder reads comes from bin_bits, the encoder's own hash,
+    # so a released candidate always lies in the received bin
     assign = fb.BinAssignment(n=6, alphabet_size=2, seed=4)
     u = SymbolSequence(Alphabet(2), (0, 1, 1, 0, 1, 0))
     prefix = assign.bin_bits(u.data)
     assert fb.list_decode_step(assign, u, prefix, 3, 2, 0.0) == (True, u)
-    table = assign._bin_table().copy()
-    table[table == prefix] ^= 1  # a table that puts every candidate of u's bin elsewhere
-    table[0] = prefix
-    object.__setattr__(assign, "_table", table)
-    with pytest.raises(RuntimeError, match="bin table disagrees with bin_bits"):
-        fb.list_decode_step(assign, u, prefix, 3, 2, 0.0)
+    w = SymbolSequence(Alphabet(2), (1, 1, 0, 0, 1, 0))
+    for i in range(1, 5):
+        plen = min(2 * i, assign.bits_total)
+        for got in (prefix >> (assign.bits_total - plen), (prefix >> (assign.bits_total - plen)) ^ 1):
+            ack, cand = fb.list_decode_step(assign, w, got, i, 2, 0.0)
+            if ack:
+                assert assign.bin_bits(cand.data) >> (assign.bits_total - plen) == got
 
 
 @pytest.mark.parametrize("n, alpha, seed", [(1, 2, 0), (12, 2, 2 ** 40), (12, 3, -5), (2, 256, 2 ** 63 - 1)])
 def test_bin_table_equals_bin_bits(n, alpha, seed):
-    # (12, 3) has a 3-byte digest and spans 33 hashing chunks
+    # the memoized bins are bin_bits of product-order candidates, and a round
+    # fills them for the ranked prefix it walks, up to the candidate it releases
     assign = fb.BinAssignment(n=n, alphabet_size=alpha, seed=seed)
-    table = assign._bin_table()
-    assert table.dtype == np.int64
-    assert table.tolist() == [assign.bin_bits(c) for c in itertools.product(range(alpha), repeat=n)]
-    assert assign._bin_table() is table
+    w = SymbolSequence(Alphabet(2), (1, 0) * (n // 2) + (0,) * (n % 2))
+    rates, order = fb._ranking(n, alpha, w.packed(), 2)
+    target = tuple(int(v) for v in np.unravel_index(int(order[min(1000, order.size - 1)]), (alpha,) * n))
+    ack, cand = fb.list_decode_step(assign, w, assign.bin_bits(target), 1, assign.bits_total, 0.0)
+    assert ack
+    memo = assign._bin_memo()
+    assert memo.dtype == np.int32 and memo.size == alpha ** n
+    hashed = np.flatnonzero(memo >= 0)
+    released = int(np.ravel_multi_index(cand.data, (alpha,) * n))
+    walked = order[: order.tolist().index(released) + 1]
+    assert sorted(walked.tolist()) == hashed.tolist()
+    for k in hashed.tolist():
+        digits = tuple(int(v) for v in np.unravel_index(k, (alpha,) * n))
+        assert fb._digits(k, n, alpha) == bytes(digits)
+        assert int(memo[k]) == assign.bin_bits(digits)
+    assert assign._bin_memo() is memo
 
 
 def test_bin_table_memory_is_bounded():
-    # the 2^16-entry table takes 512 KiB; hashing every candidate in one step
-    # would hold about 19 MiB of digests and candidate rows besides
-    assign = fb.BinAssignment(n=16, alphabet_size=2, seed=1)
+    # the n = 16 ranking (512 KiB of rates, 256 KiB of order) and a round that
+    # hashes every candidate into the 256 KiB memo; a prefix no candidate has
+    # makes the round walk the whole order
+    n = 16
+    bins = {fb.BinAssignment(n=n, alphabet_size=2, seed=1).bin_bits(c) for c in itertools.product(range(2), repeat=n)}
+    unused = min(set(range(2 ** n)) - bins)
+    w = SymbolSequence(Alphabet(2), (0, 1, 1) * 5 + (0,))
+    assign = fb.BinAssignment(n=n, alphabet_size=2, seed=1)
+    fb._ranking.cache_clear()
     tracemalloc.start()
     try:
-        assign._bin_table()
+        assert fb.list_decode_step(assign, w, unused, 10, n, 0.0) == (False, None)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert (assign._bin_memo() >= 0).all()
     assert peak < 8 * 2 ** 20
+
+
+def _table_step(assign, w, received_prefix, i, r, delta):
+    # the list step as it was with a bin table, frozen here with its table
+    # built from bin_bits: survivors by prefix, the least (rate, index), the ACK test
+    n, alpha = assign.n, assign.alphabet_size
+    threshold = i * r - n * delta
+    if threshold < 0:
+        return False, None
+    shift = assign.bits_total - min(i * r, assign.bits_total)
+    cands = np.array(list(itertools.product(range(alpha), repeat=n)), dtype=np.uint8).reshape(-1, n)
+    table = np.array([assign.bin_bits(c) for c in cands.tolist()], dtype=np.int64)
+    survivors = np.flatnonzero(table >> shift == received_prefix)
+    if survivors.size == 0:
+        return False, None
+    rates = _conditional_rates(cands[survivors], np.asarray(w.data), w.alphabet.size)
+    best_rho = min(rates)
+    if n * best_rho <= threshold:
+        return True, SymbolSequence(Alphabet(alpha), tuple(cands[survivors[rates.index(best_rho)]].tolist()))
+    return False, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_list_decode_step_equals_table_step(data):
+    alpha = data.draw(st.integers(2, 3), label="alpha")
+    omega = data.draw(st.integers(1, 4), label="omega")
+    n = data.draw(st.integers(1, 8 if alpha == 2 else 5), label="n")
+    assign = fb.BinAssignment(n=n, alphabet_size=alpha, seed=data.draw(st.integers(-(2 ** 63), 2 ** 63 - 1)))
+    w = SymbolSequence(Alphabet(omega), tuple(data.draw(st.lists(st.integers(0, omega - 1), min_size=n, max_size=n))))
+    u = tuple(data.draw(st.lists(st.integers(0, alpha - 1), min_size=n, max_size=n)))
+    r = data.draw(st.integers(1, 4), label="r")
+    delta = data.draw(st.floats(0.0, 2.0), label="delta")
+    b_true, total = assign.bin_bits(u), assign.bits_total
+    for i in range(1, total // r + 3):
+        plen = min(i * r, total)
+        random_prefix = data.draw(st.integers(0, (1 << plen) - 1))
+        for prefix in (b_true >> (total - plen), random_prefix):
+            assert fb.list_decode_step(assign, w, prefix, i, r, delta) == _table_step(assign, w, prefix, i, r, delta)
+
+
+def test_list_decode_step_hashes_each_candidate_once_within_threshold(monkeypatch):
+    # a round hashes only candidates with n * rho within its threshold, and
+    # never one already hashed for the same assignment; bin_bits is every hash
+    real = fb.BinAssignment.bin_bits
+    calls = []
+    monkeypatch.setattr(fb.BinAssignment, "bin_bits", lambda self, symbols: calls.append(bytes(symbols)) or real(self, symbols))
+    rng = np.random.default_rng(21)
+    for n, alpha, r, delta in ((10, 2, 3, 0.5), (8, 2, 1, 0.25), (5, 3, 2, 0.0)):
+        assign = fb.BinAssignment(n=n, alphabet_size=alpha, seed=int(rng.integers(2 ** 31)))
+        w = SymbolSequence(Alphabet(2), tuple(int(v) for v in rng.integers(0, 2, n)))
+        hashed = set()
+        for i in range(1, assign.bits_total // r + 3):
+            plen = min(i * r, assign.bits_total)
+            calls.clear()
+            fb.list_decode_step(assign, w, int(rng.integers(1 << plen)), i, r, delta)
+            assert len(set(calls)) == len(calls) and not set(calls) & hashed
+            assert set(calls) <= _hashed_within(assign, w, i * r - n * delta)
+            hashed |= set(calls)
+        assert hashed
 
 
 @pytest.mark.parametrize("n, alpha, seed", [(1, 2, 0), (6, 2, 1), (8, 2, 2), (4, 3, 3), (5, 3, 4), (3, 5, 5)])

@@ -12,7 +12,9 @@ from secwire.parsing import (
     SHORT_PAIR_SYMBOLS,
     JointPhraseParse,
     PhraseParse,
+    _candidate_rates,
     _conditional_rate,
+    _conditional_rates,
     _phrase_ends,
     conditional_lz_complexity,
     empirical_block_entropy,
@@ -384,9 +386,10 @@ def _frozen_list_decode_step(assign, w, received_prefix, i, r, delta):
     if threshold < 0:
         return False, None
     shift = assign.bits_total - plen
-    survivors = np.flatnonzero(assign._bin_table() >> shift == received_prefix)
     best_rho, best_u = None, None
-    for cand in map(tuple, fb._candidates(survivors, n, alpha).tolist()):
+    for cand in itertools.product(range(alpha), repeat=n):
+        if assign.bin_bits(cand) >> shift != received_prefix:
+            continue
         u = SymbolSequence(Alphabet(alpha), cand)
         rho = _frozen_conditional_lz_complexity(u, w)
         if best_rho is None or rho < best_rho:
@@ -416,3 +419,18 @@ def test_list_decode_step_matches_frozen_copy(n, alpha, omega, r, delta):
             assert got == _frozen_list_decode_step(assign, w, prefix, i, r, delta)
             acks += got[0]
     assert acks > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_candidate_rates_equal_conditional_rates(data):
+    # the walk shares LZ78 state along candidate prefixes; each rate must
+    # equal the per-row parse bit for bit, in itertools.product order
+    alpha = data.draw(st.integers(2, 4), label="alpha")
+    omega = data.draw(st.integers(1, 4), label="omega")
+    n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6}[alpha]), label="n")
+    w = np.array(data.draw(st.lists(st.integers(0, omega - 1), min_size=n, max_size=n), label="w"))
+    rows = np.array(list(itertools.product(range(alpha), repeat=n)))
+    want = _conditional_rates(rows, w, omega)
+    got = _candidate_rates(n, alpha, pack_symbols(w, omega), omega)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
