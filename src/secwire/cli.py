@@ -270,6 +270,8 @@ def _cmd_wyner(args) -> dict:
 
 
 def _cmd_feedback(args) -> list:
+    if args.sessions < 1:
+        raise ValidationError(f"sessions must be >= 1, got {args.sessions}")
     u = sq.load_sequence(args.seq)
     w = sq.load_sequence(args.side)
     if args.coded:

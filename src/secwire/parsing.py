@@ -8,15 +8,15 @@ phrase per step. The phrases seen so far are prefix-closed, so whether the
 L symbols from a phrase start form a phrase flips from true to false once as
 L grows, and a new phrase is at most one symbol longer than the longest so
 far: a binary search with a few bytes-slice lookups in one set finds it. The
-pair parse walks the product alphabet, each (u, w) symbol pair packed as
-u * |W| + w (one NumPy expression over the unpacked sequences, or, for a
-short one-byte pair stream, a Python comprehension over the two sequences'
-packed bytes), and keys the w-phrase multiplicities by slices of w's packed
-bytes. The conditional rate is summed by one function,
-_rate_of_multiplicities, straight off the pair walk's w-phrase counts:
-conditional_lz_complexity builds no JointPhraseParse. For every length-n u
-at once (the feedback list decoder's candidates), _candidate_rates walks the
-candidate tree instead, sharing the pair parse along common prefixes.
+pair parse walks _pair_bytes: pair i is u's packed word i followed by w's,
+written straight from the two packed bytes objects. The walk only asks which
+pairs are equal, and two pairs are equal just when both symbols are. It keys
+the w-phrase multiplicities by slices of w's packed bytes. The conditional
+rate is summed by one function, _rate_of_multiplicities, straight off the
+pair walk's w-phrase counts: conditional_lz_complexity builds no
+JointPhraseParse. For every length-n u at once (the feedback list decoder's
+candidates), _candidate_rates walks the candidate tree instead, sharing the
+pair parse along common prefixes.
 
 Counting conventions differ deliberately between the two parses. The plain
 parse counts a trailing incomplete phrase toward c. The joint parse counts
@@ -37,11 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sequences import SymbolSequence, pack_symbols, symbol_width, unpack_symbols
-
-
-# pair streams up to this many symbols are built without NumPy (see conditional_lz_complexity)
-SHORT_PAIR_SYMBOLS = 64
+from .sequences import SymbolSequence, symbol_width, unpack_symbols
 
 
 @dataclass(frozen=True)
@@ -144,18 +140,6 @@ def prefix_phrase_counts(u: SymbolSequence) -> tuple:
     return tuple(itertools.chain.from_iterable(itertools.repeat(j, b - a) for j, (a, b) in enumerate(spans, 1)))
 
 
-def _pair_stream(u: np.ndarray, w: np.ndarray, omega: int) -> tuple:
-    """(the pair symbols u * omega + w, packed; their width), for u and w arrays of nonnegative ints.
-
-    u may hold one sequence per row, each paired with w; the packed rows follow one another.
-    """
-    size = (int(u.max()) + 1) * omega
-    # the narrowest unsigned type that holds size itself, so omega fits too
-    width = symbol_width(size + 1)
-    dtype = np.dtype(f"u{width}") if width <= 8 else object
-    return pack_symbols(u.astype(dtype) * omega + w.astype(dtype), size), symbol_width(size)
-
-
 def _w_phrase_counts(ends, w_packed: bytes, w_width: int) -> dict:
     """Multiplicity c_l of each packed w-phrase among the pair phrases ending at ends, in first-appearance order."""
     counts: dict = {}
@@ -190,15 +174,24 @@ def _check_pair(u: SymbolSequence, w: SymbolSequence) -> int:
     return n
 
 
-def _values(u: SymbolSequence) -> np.ndarray:
-    return unpack_symbols(u.packed(), u.alphabet.size)
+def _pair_bytes(u: SymbolSequence, w: SymbolSequence) -> tuple:
+    """(the pair stream, its width): pair i is u's packed word i then w's, one byte column a slice write."""
+    u_width, w_width = symbol_width(u.alphabet.size), symbol_width(w.alphabet.size)
+    width = u_width + w_width
+    pairs = bytearray(len(u) * width)
+    u_packed, w_packed = u.packed(), w.packed()
+    for k in range(u_width):
+        pairs[k::width] = u_packed[k::u_width]
+    for k in range(w_width):
+        pairs[u_width + k :: width] = w_packed[k::w_width]
+    return bytes(pairs), width
 
 
 def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
     """Parse the pair stream ((u_1,w_1), ..., (u_n,w_n)) and bucket by w-phrase."""
     _check_pair(u, w)
     omega = w.alphabet.size
-    ends, tail = _phrase_ends(*_pair_stream(_values(u), _values(w), omega))
+    ends, tail = _phrase_ends(*_pair_bytes(u, w))
     counts = _w_phrase_counts(ends, w.packed(), symbol_width(omega))
     if symbol_width(omega) == 1:
         w_phrases = tuple(zip(map(tuple, counts), counts.values()))
@@ -213,21 +206,6 @@ def joint_parse(u: SymbolSequence, w: SymbolSequence) -> JointPhraseParse:
     )
 
 
-def _conditional_rates(u_rows: np.ndarray, w: np.ndarray, omega: int) -> list:
-    """Conditional rate of each row of u_rows given w (n >= 1 symbols over omega), in row order.
-
-    It builds no SymbolSequence and no JointPhraseParse, and sums c_l log2 c_l
-    in joint_parse's first-appearance order of the w-phrases.
-    """
-    n = w.size
-    pairs, width = _pair_stream(u_rows, w, omega)
-    w_packed, w_width, step = pack_symbols(w, omega), symbol_width(omega), n * width
-    return [
-        _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs[a : a + step], width)[0], w_packed, w_width).values(), n)
-        for a in range(0, len(pairs), step)
-    ]
-
-
 def _candidate_rates(n: int, alpha: int, w_packed: bytes, omega: int) -> array:
     """Conditional rate of every length-n u over alpha symbols given packed w, in itertools.product order.
 
@@ -238,7 +216,7 @@ def _candidate_rates(n: int, alpha: int, w_packed: bytes, omega: int) -> array:
     the way down; both are undone on the way back up, a count that falls to 0
     losing its key, so the dict keeps first-appearance order. Each leaf sums
     its counts with _rate_of_multiplicities, so every rate equals
-    _conditional_rates bit for bit.
+    conditional_lz_complexity of that candidate bit for bit.
     """
     w = unpack_symbols(w_packed, omega).tolist()
     width = symbol_width(omega)
@@ -275,27 +253,11 @@ def _candidate_rates(n: int, alpha: int, w_packed: bytes, omega: int) -> array:
     return rates
 
 
-def _conditional_rate(u, w, omega: int) -> float:
-    """conditional_lz_complexity of equal-length nonempty symbol arrays (or tuples), w over omega symbols."""
-    return _conditional_rates(np.asarray(u)[np.newaxis], np.asarray(w), omega)[0]
-
-
 def conditional_lz_complexity(u: SymbolSequence, w: SymbolSequence) -> float:
-    """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol.
-
-    At most SHORT_PAIR_SYMBOLS pairs that fit one byte, (max(u) + 1) * |W|
-    <= 256, are zipped in Python straight from the two packed bytes objects:
-    for so few symbols, NumPy's fixed cost per call would be most of the
-    work. The pair bytes are the same either way.
-    """
+    """Conditional LZ complexity (1/n) sum_l c_l log2 c_l in bits per symbol, c_l as in joint_parse's w_phrases."""
     n = _check_pair(u, w)
-    omega = w.alphabet.size
-    u_packed, w_packed = u.packed(), w.packed()
-    # n packed bytes: one byte a symbol
-    if n <= SHORT_PAIR_SYMBOLS and len(u_packed) == len(w_packed) == n and (max(u_packed) + 1) * omega <= 256:
-        pairs = bytes([a * omega + b for a, b in zip(u_packed, w_packed)])
-        return _rate_of_multiplicities(_w_phrase_counts(_phrase_ends(pairs, 1)[0], w_packed, 1).values(), n)
-    return _conditional_rates(_values(u)[np.newaxis], _values(w), omega)[0]
+    ends = _phrase_ends(*_pair_bytes(u, w))[0]
+    return _rate_of_multiplicities(_w_phrase_counts(ends, w.packed(), symbol_width(w.alphabet.size)).values(), n)
 
 
 def _block_length(block) -> int:

@@ -332,7 +332,7 @@ _FSM_HEADER = "{kind}\nk {k}\nm {m}\n{names[0]} {a}\n{names[1]} {b}\nstates 1\ni
 
 
 def _crash_argv(tmp_path, case):
-    # case is "ell<value>", "pipeline<mode>", "wyner<N>-<secret bits>-<random bits>",
+    # case is "ell<value>", "pipeline<mode>", "sessions<count>", "wyner<N>-<secret bits>-<random bits>",
     # "leakage-plain", "leakage-side", or "<kind>-<k>-<m>-<in alphabet>-<out alphabet>"
     # with an optional "-<rule lines>" written after the header
     main = _write_bsc(tmp_path / "m.ch", 0.05)
@@ -346,6 +346,9 @@ def _crash_argv(tmp_path, case):
     if case.startswith("pipeline"):
         (tmp_path / "empty.seq").write_text("alphabet 2\n")
         return wyner + ["--pipeline", case[8:], "--seq", str(tmp_path / "empty.seq")]
+    if case.startswith("sessions"):
+        seq = _write_seq(tmp_path / "u.seq", (0, 1, 1, 0))
+        return ["feedback", "--seq", seq, "--side", seq, "--r", "2", "--delta", "0.5", "--sessions", case[8:], "--seed", "1"]
     if case.startswith("wyner"):
         n, secret_bits, random_bits = case[5:].split("-")
         return [
@@ -391,6 +394,9 @@ def _crash_argv(tmp_path, case):
         ("ell-1", 2, "ell must be a positive integer, got -1"),
         ("pipelinefixed", 2, "separation needs a nonempty source sequence"),
         ("pipelinevtf", 2, "separation needs a nonempty source sequence"),
+        # once exited 0 with only the config line, having run no session
+        ("sessions-1", 2, "sessions must be >= 1, got -1"),
+        ("sessions0", 2, "sessions must be >= 1, got 0"),
         ("decoder-1-12-10-10", 3, "FSM table needs 1000000000000 entries, budget 16777216"),
         ("encoder-40-1-2-2", 3, "FSM table needs 1099511627776 entries, budget 16777216"),
         ("encoder-100-1-2-2", 3, "FSM table needs 1 x 2^100 x 1^100 entries, budget 16777216"),

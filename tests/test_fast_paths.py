@@ -26,7 +26,7 @@ from secwire import rand
 from secwire import wyner_binning as wb
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, sample, validate
 from secwire.errors import BudgetError, ValidationError
-from secwire.parsing import _conditional_rate, _conditional_rates, conditional_lz_complexity, joint_parse
+from secwire.parsing import conditional_lz_complexity, joint_parse
 from secwire.rand import substream
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
 
@@ -1332,7 +1332,7 @@ def _table_step(assign, w, received_prefix, i, r, delta):
     survivors = np.flatnonzero(table >> shift == received_prefix)
     if survivors.size == 0:
         return False, None
-    rates = _conditional_rates(cands[survivors], np.asarray(w.data), w.alphabet.size)
+    rates = [conditional_lz_complexity(SymbolSequence(Alphabet(alpha), tuple(c)), w) for c in cands[survivors].tolist()]
     best_rho = min(rates)
     if n * best_rho <= threshold:
         return True, SymbolSequence(Alphabet(alpha), tuple(cands[survivors[rates.index(best_rho)]].tolist()))
@@ -1389,7 +1389,6 @@ def test_conditional_rate_equals_conditional_lz_complexity(n, alpha, seed):
         for cand in itertools.product(range(alpha), repeat=n):
             u = SymbolSequence(Alphabet(alpha), cand)
             want = sum(c_l * math.log2(c_l) for _, c_l in joint_parse(u, w).w_phrases) / n
-            assert _conditional_rate(cand, w.data, omega) == want
             assert conditional_lz_complexity(u, w) == want
 
 

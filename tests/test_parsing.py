@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from secwire import feedback_binning as fb
 from secwire.errors import ValidationError
 from secwire.parsing import (
-    SHORT_PAIR_SYMBOLS,
     JointPhraseParse,
     PhraseParse,
     _candidate_rates,
-    _conditional_rate,
-    _conditional_rates,
     _phrase_ends,
     conditional_lz_complexity,
     empirical_block_entropy,
@@ -108,9 +105,11 @@ def _sequences(draw, max_size=300, max_len=3000):
 
 @st.composite
 def _pairs(draw, max_len=3000):
-    # alpha * omega ranges past 256, so pair symbols take one and two bytes
-    alpha = draw(st.integers(1, 40))
-    omega = draw(st.integers(1, 40))
+    # alpha and omega take one- and two-byte words, either side of 256 and
+    # past 65536, so u's and w's words in a pair may differ in width
+    sizes = st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 65537]))
+    alpha = draw(sizes)
+    omega = draw(sizes)
     u = _shaped(draw, alpha, max_len)
     seed = draw(st.integers(0, 2 ** 32 - 1))
     flips = np.random.default_rng(seed).random(len(u)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
@@ -326,24 +325,20 @@ def test_pair_parses_match_frozen_copies(case):
     assert joint_parse(u, w) == _frozen_joint_parse(u, w)
     want = _frozen_conditional_lz_complexity(u, w)
     assert conditional_lz_complexity(u, w) == want
-    assert _conditional_rate(u.data, w.data, w.alphabet.size) == want
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pairs(max_len=2 * SHORT_PAIR_SYMBOLS))
+@given(_pairs(max_len=128))
 @example((SymbolSequence(Alphabet(16), (15,) * 64), SymbolSequence(Alphabet(16), tuple(range(16)) * 4)))
 @example((SymbolSequence(Alphabet(16), (15,) * 65), SymbolSequence(Alphabet(16), (0,) * 65)))
 @example((SymbolSequence(Alphabet(2), (1, 0, 1)), SymbolSequence(Alphabet(129), (128, 0, 128))))
 def test_short_pairs_match_frozen_copy(case):
-    # up to SHORT_PAIR_SYMBOLS one-byte pairs are built in Python, from tuples
-    # or arrays; past either limit NumPy builds them
+    # short pair streams (a feedback session parses 12 pairs): the examples
+    # sit at 64 and 65 pairs and put a one-byte u beside a two-byte w
     u, w = case
     if len(u) == 0:
         return
-    want = _frozen_conditional_lz_complexity(u, w)
-    assert conditional_lz_complexity(u, w) == want
-    assert _conditional_rate(u.data, w.data, w.alphabet.size) == want
-    assert _conditional_rate(u.array(), w.array(), w.alphabet.size) == want
+    assert conditional_lz_complexity(u, w) == _frozen_conditional_lz_complexity(u, w)
 
 
 @pytest.mark.parametrize("alpha, omega", [(2, 200), (20, 13), (1, 256), (1, 2 ** 64), (2 ** 30, 2 ** 40), (3, 2 ** 64), (2 ** 64, 2)])
@@ -429,8 +424,8 @@ def test_candidate_rates_equal_conditional_rates(data):
     alpha = data.draw(st.integers(2, 4), label="alpha")
     omega = data.draw(st.integers(1, 4), label="omega")
     n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6}[alpha]), label="n")
-    w = np.array(data.draw(st.lists(st.integers(0, omega - 1), min_size=n, max_size=n), label="w"))
-    rows = np.array(list(itertools.product(range(alpha), repeat=n)))
-    want = _conditional_rates(rows, w, omega)
-    got = _candidate_rates(n, alpha, pack_symbols(w, omega), omega)
+    w = SymbolSequence(Alphabet(omega), data.draw(st.lists(st.integers(0, omega - 1), min_size=n, max_size=n), label="w"))
+    rows = itertools.product(range(alpha), repeat=n)
+    want = [conditional_lz_complexity(SymbolSequence(Alphabet(alpha), row), w) for row in rows]
+    got = _candidate_rates(n, alpha, w.packed(), omega)
     assert [x.hex() for x in got] == [x.hex() for x in want]

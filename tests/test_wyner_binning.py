@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from secwire.channels import ChannelTriple, bsc, channel_from_rows, identity_channel
 from secwire.errors import BudgetError, ValidationError
-from secwire.info_measures import entropy
+from secwire.fsm_codec import StochasticEncoderSpec, block_to_index, induced_security_channel
+from secwire.info_measures import entropy, mutual_information
 from secwire.sequences import Alphabet, SymbolSequence, sequence_from_array
 from secwire.wyner_binning import (
     build_code,
@@ -161,6 +163,40 @@ def _leakage_cases(draw):
 def test_code_leakage_contraction_matches_brute_force(case):
     code, ch = case
     assert math.isclose(code_leakage(code, ch), _brute_force_leakage(code, ch), rel_tol=0, abs_tol=1e-12)
+
+
+def _one_state_encoder(code):
+    # bin s (k = secret_bits binary symbols) emits each codeword as one x-block
+    # of m = N symbols, with probability count / words_per_bin; repeated
+    # codewords merge into one target, as the spec rejects duplicate targets
+    emit = {}
+    for s in range(code.bins):
+        blocks = collections.Counter(block_to_index(cw, code.in_size) for cw in code.codebook[s].tolist())
+        emit[(0, s)] = [(x, count / code.words_per_bin) for x, count in blocks.items()]
+    return StochasticEncoderSpec(
+        k=code.secret_bits, m=code.block_len, in_size=2, out_size=code.in_size, n_states=1,
+        emit=emit, next_state=np.zeros((1, code.bins, 1), dtype=int),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_induced_channel_of_wyner_encoder_leaks_code_leakage(data):
+    # the two exact enumerators agree: the chunk recursion behind
+    # induced_security_channel and the prefix-tree contraction of code_leakage
+    n = data.draw(st.integers(2, 8), label="N")
+    x_size = data.draw(st.integers(2, 3), label="x_size")
+    z_size = data.draw(st.integers(2, 3), label="z_size")
+    capacity = math.floor(n * math.log2(x_size) + 1e-12)
+    secret_bits = data.draw(st.integers(1, min(3, capacity)), label="secret_bits")
+    random_bits = data.draw(st.integers(0, min(4, capacity - secret_bits)), label="random_bits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    code = build_code(n, secret_bits, random_bits, rng.dirichlet(np.ones(x_size)), seed=int(rng.integers(2 ** 31)))
+    eaves = channel_from_rows(rng.dirichlet(np.ones(z_size), x_size))
+    # the cascade of the triple is eaves followed by the identity: eaves itself
+    induced = induced_security_channel(_one_state_encoder(code), ChannelTriple(eaves, identity_channel(z_size)), secret_bits)
+    leak = mutual_information(np.full(code.bins, 1.0 / code.bins), induced)
+    assert math.isclose(leak, code_leakage(code, eaves), rel_tol=0, abs_tol=1e-12)
 
 
 def test_code_leakage_extremes():
