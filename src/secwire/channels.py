@@ -1,7 +1,8 @@
 """Discrete memoryless channels, cascades, and the degraded wiretap triple.
 
 A channel file is plain text: a header ``channel IN OUT`` followed by IN
-lines of OUT probabilities each.
+lines of OUT probabilities each. output_laws is the one output-law
+contraction of both exact enumerators; law_group sizes and gates it.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_budget
 from .rand import as_rng, inverse_cdf_sample
 from .sequences import Alphabet, SymbolSequence, read_text
 
 ROW_TOL = 1e-12
+# entries of the temporary tables of one group of laws in output_laws (2^16 float64 = 512 KiB)
+CONTRACTION_BLOCK_ENTRIES = 2 ** 16
 
 
 def validate(rows, tol: float = ROW_TOL):
@@ -138,6 +141,63 @@ def sample(ch: TransitionMatrix, x: SymbolSequence, seed) -> SymbolSequence:
     cum = np.cumsum(ch.rows, axis=1)
     out = inverse_cdf_sample(cum[x.array()], draws)
     return SymbolSequence(Alphabet(ch.out_alphabet.size), out)
+
+
+def law_group(what: str, laws: int, leaves: int, x_size: int, z_size: int, n: int) -> int:
+    """Laws per group of output_laws, once its (laws, |Z|^n) output plus one group's tables pass the budget.
+
+    leaves bounds the words of one law. The output is gated first. At depth d
+    a law holds old tables, pad and new tables for min(|X|^(d-1), leaves)
+    nodes of depth d - 1 at most.
+    """
+    total = check_budget(what, laws, (z_size, n))
+    per_law = max(
+        min(x_size ** min(d - 1, leaves.bit_length()), leaves) * z_size ** (n - d) * 2 * max(x_size, z_size)
+        for d in range(1, n + 1)
+    )
+    group = max(1, CONTRACTION_BLOCK_ENTRIES // per_law)
+    check_budget(what, total + group * per_law)
+    return group
+
+
+def output_laws(keys: np.ndarray, weights: np.ndarray, rows: np.ndarray, group: int) -> np.ndarray:
+    """out[l] = sum over the words x^N of law l of weight * P(z^N | x^N), a (laws, |Z|^N) array.
+
+    The sorted, distinct (law, x_1 .. x_N) keys, at least one per law, are
+    the leaves of a prefix tree with their weights as tables. From depth N
+    down to 1, each length-(d - 1) parent's table is rows.T @ pad, pad[x]
+    being its child x's table (zero when there is none); a node starts a new
+    parent when its first column differing from the key before it is below
+    d. Laws go in groups of `group`, which do not change a law's result; the
+    sums run in tree order, not word order.
+    """
+    laws, n = int(keys[-1, 0]) + 1, keys.shape[1] - 1
+    x_size, z_size = rows.shape
+    first_diff = np.concatenate(([0], np.argmax(keys[1:] != keys[:-1], axis=1)))
+    law_starts = np.searchsorted(keys[:, 0], np.arange(0, laws + group, group).clip(max=laws))
+    out = None
+    for l0, lo, hi in zip(range(0, laws, group), law_starts[:-1], law_starts[1:]):
+        nodes = np.arange(lo, hi)
+        tables = weights[lo:hi, None].astype(float)
+        for d in range(n, 0, -1):
+            starts = first_diff[nodes] < d
+            parent = np.cumsum(starts) - 1
+            parents = int(parent[-1]) + 1
+            if len(nodes) == parents * x_size:
+                # every parent has all |X| children, in digit order: the tables already are pad
+                pad = tables.reshape(parents, x_size, -1)
+            else:
+                pad = np.zeros((parents, x_size, tables.shape[1]))
+                pad[parent, keys[nodes, d]] = tables
+            del tables
+            if d == 1 and out is None:
+                # allocated only now, so that it never coexists with the first group's deeper tables
+                out = np.empty((laws, z_size ** n))
+            dest = out[l0 : l0 + parents].reshape(parents, z_size, -1) if d == 1 else None
+            tables = np.matmul(rows.T, pad, out=dest).reshape(parents, -1)
+            del pad
+            nodes = nodes[starts]
+    return out
 
 
 def load_channel(path: str | os.PathLike) -> TransitionMatrix:

@@ -12,9 +12,10 @@ One enumerator computes that factorization for all (u^n, w^n) at once, by
 a recursion over chunks: each step extends every (u-prefix, w-prefix) pair
 by one chunk, multiplying its z-law by the kernel of the state the prefix
 left. Each entry is thus the left-to-right product of its chunk kernels,
-bit for bit what a per-row np.kron chain gives. The induced channel is its
-side_size == 1 slice. Each size that grows with the input is checked once,
-by errors.check_budget, before anything is allocated; peak memory is the
+bit for bit what a per-row Kronecker chain of them gives. The kernels come
+from channels.output_laws, as Wyner code leakage does. The induced channel
+is the side_size == 1 slice. Each size that grows with the input is checked
+by errors.check_budget before anything is allocated; peak memory is the
 output plus the previous level and its gathered kernels, each a fraction of
 the output. Leakage given W-dot^n, a memoryless noisy copy of W^n, applies
 the one-letter leak channel to one side position at a time.
@@ -47,7 +48,6 @@ error.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -55,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import ROW_TOL, ChannelTriple, TransitionMatrix, sample
+from .channels import ROW_TOL, ChannelTriple, TransitionMatrix, law_group, output_laws, sample
 from .errors import ENUMERATION_BUDGET, MU_GRID_BUDGET, BudgetError, Comb, ValidationError, check_budget  # noqa: F401
 from .info_measures import (
     CapacityResult,
@@ -438,24 +438,25 @@ def _check_system(enc, dec, triple: ChannelTriple) -> None:
         raise ValidationError("encoder and decoder disagree on (k, m, source alphabet)")
 
 
+def _kernel_group(enc: StochasticEncoderSpec, triple: ChannelTriple) -> int:
+    """Kernel rows per contraction group, once the chunk kernel and one group's tables pass the budget."""
+    laws = enc.n_states * enc.u_blocks * enc.w_blocks
+    return law_group("chunk kernel", laws, max(map(len, enc.emit.values())), *triple.cascade.rows.shape, enc.m)
+
+
 def _chunk_kernels(enc: StochasticEncoderSpec, triple: ChannelTriple) -> np.ndarray:
     """G[s, u_blk, w_blk, z_blk]: one-chunk law of Z^m given input and state.
 
-    The law of an emitted x-block is the left-to-right np.kron of its m
-    cascade rows, which is row x of the m-fold Kronecker power, bit for bit,
-    without building that power. At most one law per kernel row is cached.
+    Row (s, u_blk, w_blk) is one law of channels.output_laws over the
+    cascade rows: its emitted x-blocks, weighted by their probabilities. No
+    m-fold cascade power and no per-block law is formed.
     """
-    rows = triple.cascade.rows
-    out = np.zeros((enc.n_states, enc.u_blocks, enc.w_blocks, rows.shape[1] ** enc.m))
-
-    @functools.lru_cache(maxsize=enc.n_states * enc.u_blocks * enc.w_blocks)
-    def law(x: int) -> np.ndarray:
-        return functools.reduce(np.kron, rows[list(index_to_block(x, enc.out_size, enc.m))])
-
-    for (s, ui, wi), dist in enc.emit.items():
-        for x, p in dist:
-            out[s, ui, wi] += p * law(x)
-    return out
+    dists = [enc.emit[key] for key in itertools.product(range(enc.n_states), range(enc.u_blocks), range(enc.w_blocks))]
+    # emissions are sorted by x-block, and big-endian digits keep that order
+    keys = [(row,) + index_to_block(x, enc.out_size, enc.m) for row, dist in enumerate(dists) for x, _ in dist]
+    weights = np.array([p for dist in dists for _, p in dist])
+    kern = output_laws(np.array(keys), weights, triple.cascade.rows, _kernel_group(enc, triple))
+    return kern.reshape(enc.n_states, enc.u_blocks, enc.w_blocks, -1)
 
 
 def induced_security_channel(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> TransitionMatrix:
@@ -503,20 +504,19 @@ class LeakageReport:
 
 
 def _enumeration_shape(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> tuple:
-    """(u_total, w_total, z_total) at block length n, once the joint and the chunk kernel pass the gate."""
+    """(u_total, w_total, z_total) at block length n, once the joint, then the chunk kernel with its tables, pass."""
     if n < 1 or n % enc.k != 0:
         raise ValidationError(f"n = {n} is not a positive multiple of k = {enc.k}")
     _check_encoder_output(enc, triple)
     z_size, z_len = triple.wiretap.out_alphabet.size, n // enc.k * enc.m
     check_budget("joint enumeration", (enc.in_size, n), (enc.side_size, n), (z_size, z_len))
-    check_budget("chunk kernel", enc.n_states, enc.u_blocks, enc.w_blocks, (z_size, enc.m))
+    _kernel_group(enc, triple)
     return enc.in_size ** n, enc.side_size ** n, z_size ** z_len
 
 
-def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int, gated: bool = False) -> np.ndarray:
-    """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n) by the chunk recursion; gated: budgets checked."""
-    if not gated:
-        _enumeration_shape(enc, triple, n)
+def _enumerate_g3(enc: StochasticEncoderSpec, triple: ChannelTriple, n: int) -> np.ndarray:
+    """G3[u_global, w_global, z_global] = P(z^N | u^n, w^n) by the chunk recursion, once the budgets pass."""
+    _enumeration_shape(enc, triple, n)
     kern = _chunk_kernels(enc, triple)
     nu, nw, nz = kern.shape[1:]
     level, states = np.ones((1, 1, 1)), np.full((1, 1), enc.initial_state)
@@ -599,7 +599,7 @@ def conditional_leakage(
         raise ValidationError(f"mu shape {mu_arr.shape}, expected ({u_total}, {w_total})")
     if not (mu_arr.min() >= 0.0 and abs(float(mu_arr.sum()) - 1.0) <= 1e-9):  # NaN fails too
         raise ValidationError("mu must be a joint probability distribution")
-    return _leakage_report(enc, _enumerate_g3(enc, triple, n, gated=True), n, leak, mu_arr)
+    return _leakage_report(enc, _enumerate_g3(enc, triple, n), n, leak, mu_arr)
 
 
 def max_conditional_leakage(
@@ -625,7 +625,7 @@ def max_conditional_leakage(
     levels = int(round(1.0 / grid_step))
     count = check_budget("mu grid", Comb(levels + cells - 1, cells - 1), budget=MU_GRID_BUDGET)
     check_budget("mu grid enumeration", count, cells, z_total)
-    g3 = _enumerate_g3(enc, triple, n, gated=True)
+    g3 = _enumerate_g3(enc, triple, n)
     best = None
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1

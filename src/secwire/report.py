@@ -151,12 +151,7 @@ def _flatten_into(obj, prefix: str, out: list) -> None:
 
 def render_csv(obj) -> str:
     """One header row of flattened key paths, one row of values."""
-    pairs = flatten(obj)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([k for k, _ in pairs])
-    writer.writerow([v for _, v in pairs])
-    return buf.getvalue()
+    return render_csv_rows([obj])
 
 
 def render_csv_rows(rows: list, common: dict | None = None) -> str:

@@ -5,16 +5,13 @@ bin, drawn i.i.d. from the input distribution. The secret selects the bin,
 local randomness selects the codeword inside it.
 
 Leakage I(secret; Z^N) is computed exactly by enumerating the eavesdropper's
-output space. Each bin's summed output law is contracted backward over the
-prefix tree of its codewords: a node's table is sum_x rows[x] (outer) its
-child x's table, so codewords that share a prefix share its work, and a
-repeated codeword enters once, as a count. Each depth is one batched matrix
-product over a zero-padded child array. Bins are contracted in groups whose
-arrays hold at most LEAKAGE_BLOCK_ENTRIES entries (a group is never smaller
-than one bin), and each group's laws are written straight into the per-bin
-array (2^secret_bits x |Z|^N). The budget counts those per-bin laws plus
-one group's tables; errors.check_budget checks it, as it does the codebook's,
-before anything is allocated and without forming |Z|^N for a long block.
+output space. Each bin's summed output law comes from channels.output_laws,
+the contraction the FSM enumerator uses too, over the prefix tree of the
+bin's codewords: shared prefixes are computed once, and a repeated codeword
+enters once, with its count as weight. The budget counts the per-bin laws
+(2^secret_bits x |Z|^N) plus one group's tables of at most
+channels.CONTRACTION_BLOCK_ENTRIES entries; it is checked, as the
+codebook's is, before anything is allocated.
 
 ML decoding has one scorer, _ml_decisions, for a stack of received words:
 each word's (input, output) pair counts for every codeword come from 0/1
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelTriple, TransitionMatrix, _check_input
+from .channels import ChannelTriple, TransitionMatrix, _check_input, law_group, output_laws
 from .errors import ValidationError, check_budget
 from .info_measures import check_prob_vector, _entropy_raw, mutual_information, secrecy_capacity
 from .bounds import BoundParams, theorem2_bound
@@ -54,8 +51,6 @@ from .sequences import Alphabet, SymbolSequence
 LOG_FLOOR = -1e18
 # entries per Monte Carlo trial block (2^19 float64 = 4 MiB)
 MC_BLOCK_ENTRIES = 2 ** 19
-# entries of the temporary tables of one group of bins in code_leakage (2^16 float64 = 512 KiB)
-LEAKAGE_BLOCK_ENTRIES = 2 ** 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,12 +187,10 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
 
     Raises BudgetError, before allocating anything, when the (bins, |Z|^N)
     per-bin laws plus one group's tables would exceed the enumeration
-    budget; that is the peak memory. The per-bin laws are gated first, so
-    the per-depth table sizes are only summed for a feasible N. Within the
-    budget, each bin's law is contracted over its codewords' prefix tree
-    (see _contract_bins), then divided by words_per_bin. The sums run in
-    tree order, not codeword order, so the result can differ from the direct
-    per-codeword formula in the last bits.
+    budget; that is the peak memory. Each bin's law is contracted by
+    channels.output_laws, then divided by words_per_bin. The sums run in
+    tree order, so the result can differ from the direct per-codeword
+    formula in the last bits.
     """
     if eaves_channel.in_alphabet.size != code.in_size:
         raise ValidationError(
@@ -205,74 +198,24 @@ def code_leakage(code: WynerCode, eaves_channel: TransitionMatrix) -> float:
             f"{code.in_size}"
         )
     rows = eaves_channel.rows
-    (x_size, z_size), n = rows.shape, code.block_len
-    laws = check_budget("output-law enumeration", code.bins, (z_size, n))
-    # a group's largest depth: old tables, pad and new tables. A bin has at most
-    # min(|X|^(d-1), words_per_bin) nodes of depth d - 1, and |X| >= 2
-    per_bin_entries = max(
-        min(x_size ** min(d - 1, code.random_bits), code.words_per_bin)
-        * z_size ** (n - d) * 2 * max(x_size, z_size)
-        for d in range(1, n + 1)
-    )
-    group = max(1, LEAKAGE_BLOCK_ENTRIES // per_bin_entries)
-    check_budget("output-law enumeration", laws + group * per_bin_entries)
-    per_bin = _contract_bins(code, rows, group)
+    group = law_group("output-law enumeration", code.bins, code.words_per_bin, *rows.shape, code.block_len)
+    per_bin = output_laws(*_bin_words(code), rows, group)
     per_bin /= code.words_per_bin
     marginal = per_bin.mean(axis=0)
     h_cond = sum(_entropy_raw(row) for row in per_bin) / code.bins
     return max(_entropy_raw(marginal) - h_cond, 0.0)
 
 
-def _contract_bins(code: WynerCode, rows: np.ndarray, group: int) -> np.ndarray:
-    """Each bin's summed output law sum_w P(z^N | codeword w), as a (bins, |Z|^N) array.
-
-    The sorted unique (bin, x_1 .. x_N) keys are the leaves of a prefix tree,
-    each with its codeword count as its table. From depth N down to 1, the
-    nodes of depth d are grouped under their length-(d - 1) parents, and
-    each parent's table is rows.T @ pad, where pad[x] is the table of its
-    child x (zero when there is none). Only each key's first differing
-    column from the key before it is needed: a node starts a new parent when
-    that column is below d. Bins go in groups of group bins (code_leakage
-    sizes them); a bin's result does not depend on its group.
-    """
+def _bin_words(code: WynerCode) -> tuple:
+    """The sorted, distinct (bin, x_1 .. x_N) rows of the codebook and their counts: output_laws' keys and weights."""
     n = code.block_len
-    x_size, z_size = rows.shape
     # (bin, x_1 .. x_N) rows in the narrowest unsigned type, which lexsort sorts by radix
-    keys = np.empty((code.bins * code.words_per_bin, n + 1), np.min_scalar_type(max(code.bins, x_size) - 1))
+    keys = np.empty((code.bins * code.words_per_bin, n + 1), np.min_scalar_type(max(code.bins, code.in_size) - 1))
     keys[:, 0] = np.repeat(np.arange(code.bins), code.words_per_bin)
     keys[:, 1:] = code.codebook.reshape(-1, n)
     keys = keys[np.lexsort(keys.T[::-1])]
-    differs = keys[1:] != keys[:-1]
-    distinct = np.flatnonzero(np.concatenate(([True], differs.any(axis=1))))
-    counts = np.diff(distinct, append=len(keys))
-    first_diff = np.concatenate(([0], np.argmax(differs, axis=1)))[distinct]
-    keys = keys[distinct]
-    bin_starts = np.searchsorted(keys[:, 0], np.arange(0, code.bins + group, group).clip(max=code.bins))
-    per_bin = None
-    for b0, lo, hi in zip(range(0, code.bins, group), bin_starts[:-1], bin_starts[1:]):
-        nodes = np.arange(lo, hi)
-        tables = counts[lo:hi, None].astype(float)
-        for d in range(n, 0, -1):
-            starts = first_diff[nodes] < d
-            parent = np.cumsum(starts) - 1
-            parents = int(parent[-1]) + 1
-            if len(nodes) == parents * x_size:
-                # every parent has all |X| children, in digit order: the tables already are pad
-                pad = tables.reshape(parents, x_size, -1)
-            else:
-                pad = np.zeros((parents, x_size, tables.shape[1]))
-                pad[parent, keys[nodes, d]] = tables
-            del tables
-            out = None
-            if d == 1:
-                # allocated only now, so that it never coexists with the first group's deeper tables
-                if per_bin is None:
-                    per_bin = np.empty((code.bins, z_size ** n))
-                out = per_bin[b0 : b0 + parents].reshape(parents, z_size, -1)
-            tables = np.matmul(rows.T, pad, out=out).reshape(parents, -1)
-            del pad
-            nodes = nodes[starts]
-    return per_bin
+    distinct = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+    return keys[distinct], np.diff(distinct, append=len(keys))
 
 
 @dataclass(frozen=True)

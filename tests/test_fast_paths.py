@@ -1,12 +1,14 @@
 """The batched and cached kernels against the straightforward forms they replace.
 
 Each reference below is the plain per-item computation; the fast path must
-reproduce it bit for bit (==, not isclose). The one exception is the
-whole-codebook leakage formula: the prefix-tree contraction in code_leakage
-sums in another order, so it is checked to 1e-13 bits, and a frozen copy of
-the contraction pins its bits.
+reproduce it bit for bit (==, not isclose). The exceptions are the
+whole-codebook leakage formula and the kron chunk kernels: the prefix-tree
+contraction in code_leakage and _chunk_kernels sums in another order, so
+they are checked to 1e-13 bits and to a relative 1e-14, and a frozen copy
+of the contraction pins its bits.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -19,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secwire import bounds as bd
+from secwire import channels
 from secwire import feedback_binning as fb
 from secwire import fsm_codec as fc
 from secwire import info_measures as im
@@ -364,7 +367,7 @@ def _frozen_contraction_leakage(code, ch):
     return max(im._entropy_raw(marginal) - h_cond, 0.0)
 
 
-@pytest.mark.parametrize("block_entries", [wb.LEAKAGE_BLOCK_ENTRIES, 1])
+@pytest.mark.parametrize("block_entries", [channels.CONTRACTION_BLOCK_ENTRIES, 1])
 @pytest.mark.parametrize(
     "n, secret_bits, random_bits, dist, rows",
     [
@@ -385,7 +388,7 @@ def _frozen_contraction_leakage(code, ch):
 )
 def test_code_leakage_equals_frozen_contraction(monkeypatch, block_entries, n, secret_bits, random_bits, dist, rows):
     # bit for bit, with bins in groups of the default size and one bin at a time
-    monkeypatch.setattr(wb, "LEAKAGE_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(channels, "CONTRACTION_BLOCK_ENTRIES", block_entries)
     code = wb.build_code(n, secret_bits, random_bits, dist, seed=n + 1)
     ch = channel_from_rows(rows)
     assert wb.code_leakage(code, ch) == _frozen_contraction_leakage(code, ch)
@@ -967,6 +970,69 @@ def test_chunk_kernel_counted_in_the_enumeration_budget():
     )
     with pytest.raises(BudgetError, match=f"chunk kernel needs {2 ** 25} entries"):
         fc.induced_security_channel(enc, ChannelTriple(bsc(0.1), bsc(0.2)), 1)
+
+
+def test_chunk_kernel_tables_counted_before_allocating():
+    # one x-block per u at m = 23: the kernel's 2 x 2^23 entries fit the budget,
+    # but one row's contraction tables (2^24 entries) take it to 2^25
+    emit = {(0, 0): [(0, 1.0)], (0, 1): [(2 ** 23 - 1, 1.0)]}
+    enc = fc.StochasticEncoderSpec(
+        k=1, m=23, in_size=2, out_size=2, n_states=1, emit=emit, next_state=np.zeros((1, 2, 1), dtype=np.int64)
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"chunk kernel needs {2 ** 25} entries"):
+            fc.induced_security_channel(enc, ChannelTriple(bsc(0.1), bsc(0.2)), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def _frozen_kron_kernels(enc, triple):
+    # _chunk_kernels before the shared contraction, kept verbatim: each
+    # emitted x-block's law is the left-to-right np.kron of its m cascade rows
+    rows = triple.cascade.rows
+    out = np.zeros((enc.n_states, enc.u_blocks, enc.w_blocks, rows.shape[1] ** enc.m))
+
+    @functools.lru_cache(maxsize=enc.n_states * enc.u_blocks * enc.w_blocks)
+    def law(x: int) -> np.ndarray:
+        return functools.reduce(np.kron, rows[list(fc.index_to_block(x, enc.out_size, enc.m))])
+
+    for (s, ui, wi), dist in enc.emit.items():
+        for x, p in dist:
+            out[s, ui, wi] += p * law(x)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    k=st.integers(1, 2),
+    m=st.integers(1, 4),
+    sizes=st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    n_states=st.integers(1, 3),
+    side_size=st.integers(1, 2),
+)
+def test_chunk_kernels_match_frozen_kron_kernels(seed, k, m, sizes, n_states, side_size):
+    # the contraction sums in prefix-tree order, the frozen kernel in x-block
+    # order, so entries may differ in the last bits but not beyond 1e-14
+    x_size, y_size, z_size = sizes
+    rng = np.random.default_rng(seed)
+    u_blocks, w_blocks, x_blocks = 2 ** k, side_size ** k, x_size ** m
+    emit = {}
+    for key in itertools.product(range(n_states), range(u_blocks), range(w_blocks)):
+        # a sparse emission: a random number of distinct x-blocks
+        targets = rng.choice(x_blocks, size=int(rng.integers(1, min(x_blocks, 8) + 1)), replace=False)
+        emit[key] = [(int(x), float(p)) for x, p in zip(targets, _random_rows(rng, 1, len(targets))[0])]
+    enc = fc.StochasticEncoderSpec(
+        k=k, m=m, in_size=2, out_size=x_size, n_states=n_states, emit=emit,
+        next_state=rng.integers(0, n_states, (n_states, u_blocks, w_blocks)), side_size=side_size,
+    )
+    triple = ChannelTriple(
+        channel_from_rows(_random_rows(rng, x_size, y_size)), channel_from_rows(_random_rows(rng, y_size, z_size))
+    )
+    np.testing.assert_allclose(fc._chunk_kernels(enc, triple), _frozen_kron_kernels(enc, triple), rtol=1e-14, atol=0)
 
 
 def test_leak_arrays_checked_before_allocating():
