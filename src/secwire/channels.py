@@ -36,7 +36,7 @@ def validate(rows, tol: float = ROW_TOL):
     arr = np.ascontiguousarray(arr)
     # whole-matrix screen; NaN fails both comparisons, so the range test also
     # catches non-finite entries. The row loop below only names the culprit.
-    if ((arr >= 0.0) & (arr <= 1.0 + tol)).all() and (np.abs(arr.sum(axis=1) - 1.0) <= tol).all():
+    if (arr >= 0.0).all() and (arr <= 1.0 + tol).all() and (np.abs(arr.sum(axis=1) - 1.0) <= tol).all():
         return None
     for i, row in enumerate(arr):
         finite = np.isfinite(row)
@@ -52,12 +52,29 @@ def validate(rows, tol: float = ROW_TOL):
     return None
 
 
+def _read_only(arr) -> bool:
+    """True for an aligned, C-contiguous float64 ndarray that neither it nor any array it views lets be written.
+
+    Such an array cannot change behind a TransitionMatrix, so it needs no
+    copy; a chain ending in a non-array buffer is not trusted.
+    """
+    if type(arr) is not np.ndarray or arr.dtype != np.float64 or not (arr.flags.c_contiguous and arr.flags.aligned):
+        return False
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-stochastic matrix from in_alphabet to out_alphabet.
 
     Rows are validated to 1e-12 at construction and frozen read-only;
-    renormalization happens only via the explicit renormalized() call.
+    renormalization happens only via the explicit renormalized() call. rows
+    is copied unless it is a C-contiguous float array that no array it views
+    lets anyone write (see _read_only); that one is kept as it is.
     """
 
     in_alphabet: Alphabet
@@ -65,7 +82,7 @@ class TransitionMatrix:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.rows, dtype=float)
+        arr = self.rows if _read_only(self.rows) else np.array(self.rows, dtype=float)
         if arr.shape != (self.in_alphabet.size, self.out_alphabet.size):
             raise ValidationError(
                 f"matrix shape {arr.shape} does not match alphabets "

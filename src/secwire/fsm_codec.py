@@ -17,8 +17,17 @@ from channels.output_laws, as Wyner code leakage does. The induced channel
 is the side_size == 1 slice. Each size that grows with the input is checked
 by errors.check_budget before anything is allocated; peak memory is the
 output plus the previous level and its gathered kernels, each a fraction of
-the output. Leakage given W-dot^n, a memoryless noisy copy of W^n, applies
-the one-letter leak channel to one side position at a time.
+the output. The induced channel is held once: the enumeration is made
+read-only and kept by TransitionMatrix as its rows, not copied, and
+Blahut-Arimoto's entropy pass over it runs in blocks of
+channels.CONTRACTION_BLOCK_ENTRIES entries, so max_mi_security peaks at the
+enumeration plus its previous level, a quarter of it for binary chunks.
+Leakage given W-dot^n, a memoryless noisy copy of W^n, applies the
+one-letter leak channel to one side position at a time. conditional_leakage
+forms the joint in place in the enumeration and frees it once the
+leaked-side joint is under way, so it holds one joint at a time beside the
+temporaries of one entropy pass or leak-channel step: three arrays the size
+of the larger joint at its peak when no cell of the joint is zero.
 
 FSM file grammar (plain text, # comments allowed). Encoders and decoders
 share one grammar: the kind, the scalars (input alphabet before output
@@ -469,6 +478,8 @@ def induced_security_channel(enc: StochasticEncoderSpec, triple: ChannelTriple, 
     if enc.side_size != 1:
         raise ValidationError("side-information encoders need conditional_leakage instead")
     g3 = _enumerate_g3(enc, triple, n)
+    # read-only, so that TransitionMatrix keeps it rather than copying it
+    g3.setflags(write=False)
     u_total, _, z_total = g3.shape
     return TransitionMatrix(Alphabet(u_total), Alphabet(z_total), g3.reshape(u_total, z_total))
 
@@ -556,17 +567,32 @@ def _leak_rows(enc, triple: ChannelTriple, leak_channel: TransitionMatrix | None
 
 
 def _leakage_report(enc, g3: np.ndarray, n: int, leak: np.ndarray, mu_arr: np.ndarray) -> LeakageReport:
-    p_uwz = mu_arr[:, :, None] * g3
+    """Leakage figures of the joint mu(u^n, w^n) G3, which is formed in place in g3.
+
+    g3 is overwritten and dropped once the W-dot joint is under way, so a
+    caller that passes it without keeping a name of its own has it freed
+    there: then one joint at a time is alive, beside the temporaries of one
+    entropy pass or one leak-channel step.
+    """
+    p_uwz = np.multiply(g3, mu_arr[:, :, None], out=g3)
+    del g3
     u_total, _, z_total = p_uwz.shape
-    # one axis per side position, each mapped in place through the one-letter leak channel
+    i_uz = mutual_information_from_joint(p_uwz.sum(axis=1))
+    i_uz_given_w = conditional_mutual_information(np.transpose(p_uwz, (0, 2, 1)))
+    # one axis per side position, each mapped through the one-letter leak channel
     p_udz = p_uwz.reshape((u_total,) + (leak.shape[0],) * n + (z_total,))
+    del p_uwz
     for axis in range(1, n + 1):
-        p_udz = np.moveaxis(np.tensordot(p_udz, leak, axes=(axis, 0)), -1, axis)
+        # tensordot(p_udz, leak, axes=(axis, 0)) step by step, so that each level is freed once it is copied
+        p_udz = np.moveaxis(p_udz, axis, -1)
+        shape = p_udz.shape[:-1] + leak.shape[1:]
+        p_udz = p_udz.reshape(-1, leak.shape[0])
+        p_udz = np.moveaxis(np.dot(p_udz, leak).reshape(shape), -1, axis)
     # in C order, as p_uwz is: with W-dot = W the two conditional sums then agree bit for bit
     p_udz = np.ascontiguousarray(p_udz).reshape(u_total, -1, z_total)
     return LeakageReport(
-        i_uz=mutual_information_from_joint(p_uwz.sum(axis=1)),
-        i_uz_given_w=conditional_mutual_information(np.transpose(p_uwz, (0, 2, 1))),
+        i_uz=i_uz,
+        i_uz_given_w=i_uz_given_w,
         i_uz_given_wdot=conditional_mutual_information(np.transpose(p_udz, (0, 2, 1))),
         log2_qe=float(np.log2(enc.n_states)),
     )
@@ -630,7 +656,7 @@ def max_conditional_leakage(
     for bars in itertools.combinations(range(levels + cells - 1), cells - 1):
         counts = np.diff((-1,) + bars + (levels + cells - 1,)) - 1
         mu = (counts / levels).reshape(u_total, w_total)
-        rep = _leakage_report(enc, g3, n, leak, mu)
+        rep = _leakage_report(enc, g3.copy(), n, leak, mu)
         if best is None or rep.i_uz_given_wdot > best[0].i_uz_given_wdot:
             best = (rep, mu)
     return best

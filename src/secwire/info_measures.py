@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ROW_TOL, ChannelTriple, TransitionMatrix
+from .channels import CONTRACTION_BLOCK_ENTRIES, ROW_TOL, ChannelTriple, TransitionMatrix
 from .errors import BudgetError, InfeasibleError, ValidationError
 
 _TINY = 1e-320
@@ -71,8 +71,14 @@ def entropy(dist) -> float:
 
 
 def _entropy_raw(arr: np.ndarray) -> float:
-    nz = arr[arr > 0.0]
-    return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
+    mask = arr > 0.0
+    # without zero entries the compacted copy is the C-order ravel, a view when arr is C-contiguous
+    nz = arr.ravel() if mask.all() else arr[mask]
+    if not nz.size:
+        return 0.0
+    terms = np.log2(nz)
+    terms *= nz
+    return float(-terms.sum())
 
 
 def binary_entropy(p: float) -> float:
@@ -153,11 +159,13 @@ def _check_joint(joint, ndim: int) -> np.ndarray:
         raise ValidationError(f"non-finite joint probability {float(arr[~finite][0])}")
     if arr.min() < -1e-12:
         raise ValidationError(f"negative joint probability {float(arr.min())!r}")
+    # the one copy: it keeps the memory order of joint, which sets the order of every sum over it
     arr = np.maximum(arr, 0.0)
     total = float(arr.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValidationError(f"joint distribution sums to {total!r}")
-    return arr / total
+    arr /= total
+    return arr
 
 
 def mutual_information_from_joint(joint) -> float:
@@ -178,7 +186,9 @@ def conditional_mutual_information(joint) -> float:
     h_ac = _entropy_raw(arr.sum(axis=1).ravel())
     h_bc = _entropy_raw(arr.sum(axis=0).ravel())
     h_c = _entropy_raw(arr.sum(axis=(0, 1)))
-    h_abc = _entropy_raw(arr.ravel())
+    # H(A,B,C) sums in C order; rebinding frees arr once its C-order copy exists
+    arr = arr.ravel()
+    h_abc = _entropy_raw(arr)
     return max(h_ac + h_bc - h_c - h_abc, 0.0)
 
 
@@ -444,8 +454,28 @@ def secrecy_capacity(triple: ChannelTriple, tol: float = 1e-9, max_iter: int = 2
 
 
 def _neg_row_entropies(rows: np.ndarray) -> np.ndarray:
-    mask = rows > 0.0
-    return np.where(mask, rows * np.log2(np.where(mask, rows, 1.0)), 0.0).sum(axis=1)
+    """sum_y Q(y|x) log2 Q(y|x) for every row x, zero entries giving 0 terms.
+
+    C-contiguous rows go in blocks of whole rows, at most
+    CONTRACTION_BLOCK_ENTRIES entries or one row each, with log2 and the
+    product taken in place in one block-sized buffer, so rows is the only
+    full-size array. The memory order sets the order of a row's sum, so other
+    layouts go as one block. Each value is bit for bit that of the one-pass
+    np.where(rows > 0, rows * np.log2(np.where(rows > 0, rows, 1)), 0).sum(axis=1).
+    """
+    h = np.empty(rows.shape[0])
+    step = max(len(h), 1)
+    if rows.flags.c_contiguous:
+        step = max(1, CONTRACTION_BLOCK_ENTRIES // max(rows.shape[1], 1))
+    for lo in range(0, len(h), step):
+        block = rows[lo : lo + step]
+        mask = block > 0.0
+        terms = np.where(mask, block, 1.0)
+        np.log2(terms, out=terms)
+        np.multiply(block, terms, out=terms)
+        terms[~mask] = 0.0
+        np.add.reduce(terms, axis=1, out=h[lo : lo + step])
+    return h
 
 
 def _step(p: np.ndarray, direction: np.ndarray, t: np.ndarray) -> np.ndarray:

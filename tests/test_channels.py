@@ -79,6 +79,33 @@ def test_renormalized():
     assert np.allclose(again.rows, ch.rows)
 
 
+def test_writable_rows_are_copied():
+    rows = np.array([[0.5, 0.5], [0.25, 0.75]])
+    ch = TransitionMatrix(Alphabet(2), Alphabet(2), rows)
+    rows[0] = [1.0, 0.0]
+    assert ch.rows.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    # a read-only view of a writable array can still change through that array
+    base = np.array([[0.5, 0.5], [0.25, 0.75]])
+    view = base.view()
+    view.setflags(write=False)
+    ch = TransitionMatrix(Alphabet(2), Alphabet(2), view)
+    base[0] = [1.0, 0.0]
+    assert ch.rows.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+    assert not ch.rows.flags.writeable
+
+
+def test_read_only_rows_are_kept():
+    frozen = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+    frozen.setflags(write=False)
+    ch = TransitionMatrix(Alphabet(3), Alphabet(2), frozen.reshape(3, 2))
+    assert np.shares_memory(ch.rows, frozen)
+    # other layouts and dtypes are copied, as before
+    assert not np.shares_memory(channel_from_rows(frozen[::2]).rows, frozen)
+    assert channel_from_rows(np.array([[1, 0], [0, 1]])).rows.dtype == np.float64
+    again = ch.renormalized()
+    assert again.rows.tolist() == ch.rows.tolist() and not again.rows.flags.writeable
+
+
 def test_cascade_of_bscs_is_bsc():
     # crossover of the composition is p1 + p2 - 2 p1 p2
     rng = np.random.default_rng(8)

@@ -1226,6 +1226,204 @@ def test_max_conditional_leakage_checks_budgets_first():
     assert peak < 2 ** 20
 
 
+# -- exact-leakage memory -------------------------------------------------
+# The entropy and joint helpers as they were before they worked in blocks
+# and in place, kept as the reference (their input checks cut to asserts):
+# the blocked and in-place forms must equal them bit for bit.
+
+
+def _frozen_neg_row_entropies(rows):
+    mask = rows > 0.0
+    return np.where(mask, rows * np.log2(np.where(mask, rows, 1.0)), 0.0).sum(axis=1)
+
+
+def _frozen_entropy_raw(arr):
+    nz = arr[arr > 0.0]
+    return float(-(nz * np.log2(nz)).sum()) if nz.size else 0.0
+
+
+def _frozen_check_joint(joint, ndim):
+    arr = np.asarray(joint, dtype=float)
+    assert arr.ndim == ndim and np.isfinite(arr).all() and arr.min() >= -1e-12
+    arr = np.maximum(arr, 0.0)
+    total = float(arr.sum())
+    assert abs(total - 1.0) <= 1e-9
+    return arr / total
+
+
+def _frozen_cmi(joint):
+    arr = _frozen_check_joint(joint, 3)
+    h_ac = _frozen_entropy_raw(arr.sum(axis=1).ravel())
+    h_bc = _frozen_entropy_raw(arr.sum(axis=0).ravel())
+    h_c = _frozen_entropy_raw(arr.sum(axis=(0, 1)))
+    h_abc = _frozen_entropy_raw(arr.ravel())
+    return max(h_ac + h_bc - h_c - h_abc, 0.0)
+
+
+def _frozen_mi_from_joint(joint):
+    arr = _frozen_check_joint(joint, 2)
+    h_a = _frozen_entropy_raw(arr.sum(axis=1))
+    h_b = _frozen_entropy_raw(arr.sum(axis=0))
+    return max(h_a + h_b - _frozen_entropy_raw(arr.ravel()), 0.0)
+
+
+def _frozen_leakage_report(enc, g3, n, leak, mu_arr):
+    p_uwz = mu_arr[:, :, None] * g3
+    u_total, _, z_total = p_uwz.shape
+    p_udz = p_uwz.reshape((u_total,) + (leak.shape[0],) * n + (z_total,))
+    for axis in range(1, n + 1):
+        p_udz = np.moveaxis(np.tensordot(p_udz, leak, axes=(axis, 0)), -1, axis)
+    p_udz = np.ascontiguousarray(p_udz).reshape(u_total, -1, z_total)
+    return fc.LeakageReport(
+        i_uz=_frozen_mi_from_joint(p_uwz.sum(axis=1)),
+        i_uz_given_w=_frozen_cmi(np.transpose(p_uwz, (0, 2, 1))),
+        i_uz_given_wdot=_frozen_cmi(np.transpose(p_udz, (0, 2, 1))),
+        log2_qe=float(np.log2(enc.n_states)),
+    )
+
+
+def _same_float(a, b):
+    return a == b and a.hex() == b.hex()
+
+
+def _entries(rng, shape, zeros):
+    # cubes spread the exponents; exact ones and the smallest normal and
+    # subnormal numbers hit the ends of log2; zeros are +0.0 or -0.0
+    arr = rng.random(shape) ** 3
+    arr[rng.random(shape) < 0.01] = 1.0
+    arr[rng.random(shape) < 0.01] = 2.0 ** -1022
+    arr[rng.random(shape) < 0.01] = 5e-324
+    arr[rng.random(shape) < zeros] = 0.0
+    arr[(arr == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+    return arr
+
+
+BLOCK = channels.CONTRACTION_BLOCK_ENTRIES
+
+
+@st.composite
+def _row_shapes(draw):
+    # widths on both sides of 8 and past a whole block; row counts that
+    # leave a partial last block, up to three blocks and a few rows more
+    width = draw(st.one_of(st.integers(1, 20), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 3])))
+    step = max(1, BLOCK // width)
+    rows = draw(st.one_of(st.integers(1, 2 * step + 5), st.sampled_from([step, step + 1, 3 * step - 1])))
+    return min(rows, max(1, 4 * BLOCK // width)), width
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=_row_shapes(),
+    seed=st.integers(0, 2 ** 32 - 1),
+    zeros=st.sampled_from([0.0, 0.2, 1.0]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    junk=st.booleans(),
+)
+def test_blocked_neg_row_entropies_equal_one_pass(shape, seed, zeros, layout, junk):
+    rng = np.random.default_rng(seed)
+    rows = _entries(rng, shape, zeros)
+    if junk:  # entries no channel holds: the one-pass form gives them 0 terms, inf excepted
+        rows[rng.random(shape) < 0.05] = rng.choice([np.nan, np.inf, -np.inf, -0.5])
+    if layout == "F":
+        rows = np.asfortranarray(rows)
+    elif layout == "strided":
+        rows = np.repeat(rows, 2, axis=1)[:, ::2]
+    with np.errstate(invalid="ignore"):
+        got, want = im._neg_row_entropies(rows), _frozen_neg_row_entropies(rows)
+    assert _bitwise_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.one_of(st.integers(0, 20), st.integers(21, 3 * BLOCK)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    zeros=st.sampled_from([0.0, 0.2, 1.0]),
+    view=st.sampled_from(["whole", "offset", "strided", "2-D"]),
+)
+def test_entropy_raw_equals_masked_copy_form(size, seed, zeros, view):
+    arr = _entries(np.random.default_rng(seed), size + 2, zeros)
+    arr = {"whole": arr, "offset": arr[1:], "strided": arr[::2], "2-D": arr[: 2 * (size // 2 + 1)].reshape(2, -1)}[view]
+    assert _same_float(im._entropy_raw(arr), _frozen_entropy_raw(arr))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12)),
+    seed=st.integers(0, 2 ** 32 - 1),
+    zeros=st.sampled_from([0.0, 0.3]),
+    rounding=st.booleans(),
+    order=st.sampled_from([(0, 1, 2), (0, 2, 1), (2, 0, 1)]),
+)
+def test_joint_measures_equal_frozen_forms(dims, seed, zeros, rounding, order):
+    # the transposed orders are the views _leakage_report passes; rounding
+    # turns zero and subnormal cells into the tiny negative entries that
+    # _check_joint clips to 0
+    rng = np.random.default_rng(seed)
+    joint = _entries(rng, dims, zeros)
+    joint[(0,) * 3] += 1e-3
+    joint /= joint.sum()
+    if rounding:
+        joint[(joint < 1e-300) & (rng.random(dims) < 0.5)] = -1e-13
+    joint = np.transpose(joint, order)
+    assert _same_float(im.conditional_mutual_information(joint), _frozen_cmi(joint))
+    assert _same_float(im.mutual_information_from_joint(joint.sum(axis=1)), _frozen_mi_from_joint(joint.sum(axis=1)))
+    assert _bitwise_equal(im._check_joint(joint, 3), _frozen_check_joint(joint, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_states=st.integers(1, 3),
+    side_size=st.integers(1, 3),
+    dot_size=st.integers(0, 4),
+    n=st.integers(1, 4),
+    sparse=st.booleans(),
+)
+def test_leakage_report_equals_tensordot_form(seed, n_states, side_size, dot_size, n, sparse):
+    # dot_size 0 stands for no leak channel, that is W-dot = W
+    enc = _random_encoder(seed, 1, 1, n_states, side_size)
+    rng = np.random.default_rng(seed + 1)
+    triple = _random_triple(rng)
+    leak = np.eye(side_size) if dot_size == 0 else _random_rows(rng, side_size, dot_size)
+    mu = _random_mu(rng, n, side_size, sparse)
+    rep = fc.conditional_leakage(enc, triple, None if dot_size == 0 else channel_from_rows(leak), n, mu)
+    ref = _frozen_leakage_report(enc, fc._enumerate_g3(enc, triple, n), n, leak, mu)
+    for name in ("i_uz", "i_uz_given_w", "i_uz_given_wdot", "log2_qe"):
+        assert _same_float(getattr(rep, name), getattr(ref, name))
+
+
+def _traced_peak(fun):
+    tracemalloc.start()
+    try:
+        fun()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_max_mi_security_holds_the_induced_channel_once():
+    # the 2^10 x 2^10 induced channel is 8 MiB; the previous enumeration
+    # level, its validation and Blahut-Arimoto's blocks add a quarter to it
+    emit, nxt = {}, np.zeros((2, 2, 1), dtype=np.int64)
+    for s in range(2):
+        for u in (0, 1):
+            emit[(s, u, 0)] = [(u ^ s, 0.9), (1 - (u ^ s), 0.1)]
+            nxt[s, u, 0] = s ^ u
+    enc = fc.StochasticEncoderSpec(k=1, m=1, in_size=2, out_size=2, n_states=2, emit=emit, next_state=nxt)
+    peak = _traced_peak(lambda: fc.max_mi_security(enc, ChannelTriple(bsc(0.05), bsc(0.15)), 10))
+    assert peak < 1.5 * 8 * 2 ** 20
+
+
+def test_conditional_leakage_peak_is_three_joints():
+    # 2^6 x 2^6 x 2^6 joint entries are 2 MiB: 6.26 MiB measured, three of
+    # them plus small tables, pinned with 10 % headroom (14.0 MiB before
+    # the joint was formed in place and the entropy passes lost their copies)
+    enc = _random_encoder(12, 1, 1, 2, 2)
+    triple = ChannelTriple(bsc(0.05), bsc(0.15))
+    peak = _traced_peak(lambda: fc.conditional_leakage(enc, triple, bsc(0.2), 6))
+    assert peak < 1.1 * 6.26 * 2 ** 20
+
+
 # -- feedback list decoding -----------------------------------------------
 
 

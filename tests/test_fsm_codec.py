@@ -323,6 +323,18 @@ def test_induced_channel_matches_brute_force_walk():
         assert np.allclose(got.rows, expected, atol=1e-12)
 
 
+def test_induced_channel_rows_are_read_only():
+    # the enumeration is kept as the channel's rows, not copied
+    triple = ChannelTriple(bsc(0.1), bsc(0.15))
+    ch = induced_security_channel(_random_encoder(np.random.default_rng(22), n_states=2), triple, 4)
+    assert not ch.rows.flags.writeable
+    with pytest.raises(ValueError):
+        ch.rows[0, 0] = 0.0
+    again = ch.renormalized()
+    assert np.allclose(again.rows, ch.rows, rtol=0.0, atol=1e-15)
+    assert not again.rows.flags.writeable
+
+
 def test_induced_channel_budget_guard():
     enc = _identity_encoder()
     triple = ChannelTriple(bsc(0.1), bsc(0.1))
